@@ -178,6 +178,15 @@ def _coerce_coeff(c):
     raise TypeError("unsupported coefficient %r" % (c,))
 
 
+def _scalar(c):
+    """A scalar acting on elements: ints act on every field as they are."""
+    return c if type(c) is int else _coerce_coeff(c)
+
+
+def _same_field(a, b):
+    return type(a) is type(b) and (type(a) is Fraction or a.p == b.p)
+
+
 class GrassmannElement:
     """Immutable sparse element; do not mutate .terms after construction."""
 
@@ -237,6 +246,12 @@ class GrassmannElement:
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._check_same(other)
+        # a zero operand carries no field and mixes with any
+        if self.terms and other.terms:
+            a = next(iter(self.terms.values()))
+            b = next(iter(other.terms.values()))
+            if not _same_field(a, b):
+                raise AmbientMismatch("elements over different fields: %r and %r" % (a, b))
         acc = dict(self.terms)
         for m, c in other.terms.items():
             s = acc.get(m)
@@ -259,7 +274,7 @@ class GrassmannElement:
         return self.__add__(-other)
 
     def scale(self, c):
-        c = _coerce_coeff(c)
+        c = _scalar(c)
         if not c:
             return GrassmannElement(self.n, {}, _canonical=True)
         return GrassmannElement(self.n, {m: c * x for m, x in self.terms.items()}, _canonical=True)
@@ -298,8 +313,10 @@ class GrassmannElement:
             return NotImplemented
 
     def __truediv__(self, c):
-        one = _coerce_coeff(1) if isinstance(c, (int, Fraction)) else c / c
-        return self.scale(one / c)
+        c = _scalar(c)
+        if not c:
+            raise ZeroDivisionError("division of an element by zero")
+        return GrassmannElement(self.n, {m: x / c for m, x in self.terms.items()}, _canonical=True)
 
     def __eq__(self, other):
         return (

@@ -124,8 +124,10 @@ class FpElement:
     def __eq__(self, other):
         if isinstance(other, FpElement):
             return self.p == other.p and self.r == other.r
+        # an int is equal only to the residue it names canonically, so that
+        # equal values hash alike
         if isinstance(other, int) and not isinstance(other, bool):
-            return (self.r - other) % self.p == 0
+            return self.r == other
         return NotImplemented
 
     def __hash__(self):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import indices_of_mask, mask_of_indices
+
 __all__ = [
     "SetFamily",
     "SearchResult",
@@ -31,29 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2_000_000
-
-
-def _mask_of(indices, n):
-    mask = 0
-    for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= n:
-            raise ValueError("index %r outside 1..%d" % (i, n))
-        bit = 1 << (i - 1)
-        if mask & bit:
-            raise ValueError("index %d repeated inside one set" % i)
-        mask |= bit
-    return mask
-
-
-def _indices_of(mask):
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 class SetFamily:
@@ -74,11 +53,11 @@ class SetFamily:
 
     @classmethod
     def from_sets(cls, n: int, sets):
-        return cls(n, (_mask_of(s, n) for s in sets))
+        return cls(n, (mask_of_indices(n, s) for s in sets))
 
     def to_sets(self) -> list:
         """JSON-ready: a list of ascending index lists, members in mask order."""
-        return [_indices_of(m) for m in self.masks]
+        return [list(indices_of_mask(m)) for m in self.masks]
 
     def __len__(self):
         return len(self.masks)

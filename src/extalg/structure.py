@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import GrassmannElement, unit, zero
-from .fields import QQ, FpElement, PrimeField
+from .fields import QQ
+from .setfamilies import odd_upper_levels, star
 from .subspace import (
     Subspace,
+    _field_of,
     even_space,
     full_space,
     hilbert_series,
@@ -131,15 +133,6 @@ def _even_masks(n):
     return [m for m in range(1 << n) if not m.bit_count() & 1]
 
 
-def _upper_odd_masks(n):
-    return [m for m in range(1 << n) if m.bit_count() & 1 and 2 * m.bit_count() > n]
-
-
-def _star_masks(n, k, l):
-    bit = 1 << (l - 1)
-    return [m for m in range(1 << n) if m & bit and m.bit_count() == k]
-
-
 def canonical_max_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     """A commutative subalgebra of the maximal dimension.
 
@@ -153,11 +146,11 @@ def canonical_max_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
         bit = 1 << (l - 1)
         masks.update(m for m in range(1 << n) if m & bit)
     elif n % 4 == 1:
-        masks.update(_upper_odd_masks(n))
+        masks.update(odd_upper_levels(n).masks)
     else:
         k = (n - 3) // 4
-        masks.update(_upper_odd_masks(n))
-        masks.update(_star_masks(n, 2 * k + 1, l))
+        masks.update(odd_upper_levels(n).masks)
+        masks.update(star(n, 2 * k + 1, l).masks)
     return monomial_space(n, masks, field)
 
 
@@ -169,13 +162,13 @@ def upper_levels_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     if not 1 <= l <= n:
         raise ValueError("star element %r outside 1..%d" % (l, n))
     masks = set(_even_masks(n))
-    masks.update(_upper_odd_masks(n))
+    masks.update(odd_upper_levels(n).masks)
     if n % 4 == 2:
         k = (n - 2) // 4
-        masks.update(_star_masks(n, 2 * k + 1, l))
+        masks.update(star(n, 2 * k + 1, l).masks)
     elif n % 4 == 3:
         k = (n - 3) // 4
-        masks.update(_star_masks(n, 2 * k + 1, l))
+        masks.update(star(n, 2 * k + 1, l).masks)
     return monomial_space(n, masks, field)
 
 
@@ -259,24 +252,11 @@ class AlgebraHom:
                 raise ValueError("generator images live in different algebras")
             if not u.is_odd():
                 raise ValueError("generator images must lie in the odd part")
-        # odd elements anticommute automatically (uv = -vu term by term), so
-        # this loop can only fire if the parity check above is ever relaxed
-        for i in range(len(images)):
-            for j in range(i, len(images)):
-                if images[i] * images[j] + images[j] * images[i]:
-                    raise ValueError(
-                        "images %d and %d do not anticommute; no algebra map exists" % (i + 1, j + 1)
-                    )
         self.n_source = len(images)
         self.n_target = n_target
         self.images = images
-        if field is None:
-            field = QQ
-            coeffs = [c for u in images for c in u.terms.values()]
-            if coeffs and isinstance(coeffs[0], FpElement):
-                field = PrimeField(coeffs[0].p)
-        self.field = field
-        self._cache = {0: unit(n_target, field)}
+        self.field = _field_of(images, field)
+        self._cache = {0: unit(n_target, self.field)}
 
     def _image_of_mask(self, mask):
         hit = self._cache.get(mask)

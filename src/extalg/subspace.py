@@ -11,13 +11,19 @@ The generator splitting map sends D to ker(s_i|_D) + im(s_i|_D) where
 s_i substitutes 0 for generator i.  Composing the n splits monomializes
 any subspace; the resulting monomial supports depend on the order in
 which the generators are processed.
+
+Kernels (of a split, of the pairing, and the intersection of two spaces)
+all come from one routine: the map's (image, source) pairs are stacked with
+the source keys shifted above every image key, one echelon of the stack is
+taken, and the source parts of the rows with a zero image part span the
+kernel.
 """
 
 from __future__ import annotations
 
-from .core import AmbientMismatch, GrassmannElement, zero
+from .core import AmbientMismatch, GrassmannElement
 from .fields import QQ, PrimeField, FpElement
-from .setfamilies import SetFamily
+from .setfamilies import SetFamily, star
 
 __all__ = [
     "Subspace",
@@ -88,33 +94,14 @@ def _echelon(dicts, keyfn=None):
     return rows
 
 
-def _kernel(dicts, field, keyfn=None):
-    """Spanning combos c with sum_i c_i * dicts_i = 0 (forward elimination
-    with combination tracking; deterministic)."""
-    pivmap = {}
-    out = []
-    k = len(dicts)
-    for idx, d0 in enumerate(dicts):
-        d = dict(d0)
-        combo = [field.zero] * k
-        combo[idx] = field.one
-        while d:
-            p = min(d, key=keyfn) if keyfn else min(d)
-            hit = pivmap.get(p)
-            if hit is None:
-                c = d[p]
-                ic = _inv(c)
-                d = {m: ic * x for m, x in d.items()}
-                combo = [ic * x for x in combo]
-                pivmap[p] = (d, combo)
-                break
-            rd, rc = hit
-            c = d[p]
-            _submul(d, c, rd)
-            combo = [a - c * b for a, b in zip(combo, rc)]
-        else:
-            out.append(combo)
-    return out
+def _kernel(pairs, top):
+    """Source parts spanning the vectors of span{(image, source)} whose
+    image part is zero.  Image keys lie below top; source keys move up to
+    top + key, so in one echelon of the stacked rows exactly the rows with
+    pivot >= top have a zero image part, and they span that kernel
+    (Zassenhaus)."""
+    rows = _echelon({**img, **{top + m: c for m, c in src.items()}} for img, src in pairs)
+    return [{m - top: c for m, c in row.items()} for p, row in rows.items() if p >= top]
 
 
 def _field_of(vectors, field):
@@ -137,6 +124,11 @@ class Subspace:
         self.n = n
         self.field = field
         self.basis = tuple(basis)
+        kind, p = type(field.zero), field.characteristic
+        for b in self.basis:
+            for c in b.terms.values():
+                if type(c) is not kind or (p and c.p != p):
+                    raise AmbientMismatch("coefficient %r outside the field %s" % (c, field.name))
         self._pivots = {min(b.terms): b.terms for b in self.basis}
 
     @property
@@ -174,17 +166,9 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        da = [b.terms for b in self.basis]
-        db = [b.terms for b in other.basis]
-        combos = _kernel(da + db, self.field)
-        cut = []
-        for combo in combos:
-            acc = zero(self.n)
-            for c, b in zip(combo[: len(da)], self.basis):
-                if c:
-                    acc = acc + b.scale(c)
-            cut.append(acc)
-        return span(cut, n=self.n, field=self.field)
+        pairs = [(a.terms, a.terms) for a in self.basis] + [(b.terms, {}) for b in other.basis]
+        cut = _kernel(pairs, 1 << self.n)
+        return span([GrassmannElement(self.n, t, _canonical=True) for t in cut], n=self.n, field=self.field)
 
     def _check_compatible(self, other):
         if not isinstance(other, Subspace):
@@ -265,12 +249,7 @@ def odd_space(n: int, field=QQ) -> Subspace:
 
 def star_space(n: int, k: int, l: int, field=QQ) -> Subspace:
     """Monomials of degree k whose support contains the index l."""
-    if not 1 <= l <= n:
-        raise ValueError("star element %r outside 1..%d" % (l, n))
-    bit = 1 << (l - 1)
-    return monomial_space(
-        n, (m for m in range(1 << n) if m & bit and m.bit_count() == k), field
-    )
+    return family_space(star(n, k, l), field)
 
 
 def family_space(fam: SetFamily, field=QQ) -> Subspace:
@@ -293,14 +272,8 @@ def split_generator(d: Subspace, i: int) -> Subspace:
     if not isinstance(i, int) or not 1 <= i <= d.n:
         raise ValueError("generator index %r outside 1..%d" % (i, d.n))
     imgs = [b.substitute_zero(i) for b in d.basis]
-    combos = _kernel([im.terms for im in imgs], d.field)
-    vecs = []
-    for combo in combos:
-        acc = zero(d.n)
-        for c, b in zip(combo, d.basis):
-            if c:
-                acc = acc + b.scale(c)
-        vecs.append(acc)
+    ker = _kernel([(im.terms, b.terms) for im, b in zip(imgs, d.basis)], 1 << d.n)
+    vecs = [GrassmannElement(d.n, t, _canonical=True) for t in ker]
     vecs.extend(im for im in imgs if im.terms)
     out = span(vecs, n=d.n, field=d.field)
     if out.dim != d.dim:
@@ -334,12 +307,9 @@ def initial_span(d: Subspace) -> Subspace:
 def monomial_supports(d: Subspace, order=None) -> SetFamily:
     """Supports of the monomial basis that the full split chain produces."""
     m = monomialize(d, order)
-    masks = []
-    for b in m.basis:
-        if len(b.terms) != 1:
-            raise AssertionError("split chain left a non-monomial vector: %r" % (b,))
-        masks.append(next(iter(b.terms)))
-    return SetFamily(d.n, masks)
+    if not m.is_monomial():
+        raise AssertionError("split chain left a non-monomial basis: %r" % (m,))
+    return SetFamily(d.n, m.pivot_masks())
 
 
 def min_degree_space(a: Subspace) -> Subspace:
@@ -378,24 +348,16 @@ def perp(d: Subspace) -> Subspace:
             raise ValueError("perp is defined for subspaces of the odd part only")
     n = d.n
     odd_masks = [m for m in range(1 << n) if m.bit_count() & 1]
-    cols = []
+    pairs = []
     for j in odd_masks:
         vj = GrassmannElement(n, {j: d.field.one})
         col = {}
         for k, b in enumerate(d.basis):
-            w = skew_form(vj, b)
-            for t, c in w.terms.items():
-                col[(k, t)] = c
-        cols.append(col)
-    combos = _kernel(cols, d.field)
-    vecs = []
-    for combo in combos:
-        terms = {}
-        for c, m in zip(combo, odd_masks):
-            if c:
-                terms[m] = c
-        vecs.append(GrassmannElement(n, terms, _canonical=True))
-    return span(vecs, n=n, field=d.field)
+            for t, c in skew_form(vj, b).terms.items():
+                col[(k << n) | t] = c
+        pairs.append((col, {j: d.field.one}))
+    ker = _kernel(pairs, d.dim << n)
+    return span([GrassmannElement(n, t, _canonical=True) for t in ker], n=n, field=d.field)
 
 
 def hilbert_series(a: Subspace) -> tuple:

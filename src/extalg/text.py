@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import GrassmannElement, zero
-from .fields import QQ, FpElement, field_by_name
+from .core import GrassmannElement, indices_of_mask, zero
+from .fields import QQ, field_by_name
 
 __all__ = [
     "ParseError",
@@ -278,14 +278,7 @@ def print_element(x: GrassmannElement) -> str:
 
 
 def _mono_str(mask: int) -> str:
-    idx = []
-    i = 1
-    while mask:
-        if mask & 1:
-            idx.append(str(i))
-        mask >>= 1
-        i += 1
-    return "v{%s}" % ",".join(idx)
+    return "v{%s}" % ",".join(map(str, indices_of_mask(mask)))
 
 
 def read_subspace(doc: dict):

@@ -220,3 +220,21 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         cli.main(["nonsense"])
     assert e.value.code == 2
+
+
+def test_gamma_runs_the_split_chain_once(capsys, tmp_path, monkeypatch):
+    import extalg.subspace as subspace
+
+    calls = []
+    split = subspace.split_generator
+
+    def counted(d, i):
+        calls.append(i)
+        return split(d, i)
+
+    monkeypatch.setattr(subspace, "split_generator", counted)
+    doc = {"n": 4, "field": "rational", "basis": ["v{1,2}+v{3,4}", "v{1}+v{2,3,4}"]}
+    code, out, _ = run(capsys, "gamma", write_doc(tmp_path, "d.json", doc), "--json")
+    assert code == 0
+    assert json.loads(out)["family"] == [[1], [1, 2]]
+    assert sorted(calls) == [1, 2, 3, 4]

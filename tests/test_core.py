@@ -216,3 +216,31 @@ def test_scalar_multiplication():
     assert x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)) == x
     assert 2 * x == x + x
     assert -x == x.scale(-1)
+
+
+def test_add_refuses_mixed_fields_even_on_disjoint_supports():
+    from extalg.fields import PrimeField
+
+    q = generator(2, 1)
+    g5 = generator(2, 2, PrimeField(5))
+    g7 = generator(2, 2, PrimeField(7))
+    for a, b in ((q, g5), (g5, q), (g5, g7)):
+        with pytest.raises(AmbientMismatch):
+            a + b
+        with pytest.raises(AmbientMismatch):
+            a - b
+    # the zero element carries no field
+    assert zero(2) + g5 == g5 and g5 - zero(2) == g5 and zero(2) + q == q
+
+
+def test_prime_field_elements_scale_and_divide_by_ints():
+    from extalg.fields import PrimeField
+
+    f = PrimeField(5)
+    x = monomial(2, (1,), 3, f)
+    assert x.scale(2) == monomial(2, (1,), 1, f)
+    assert x * 2 == 2 * x == monomial(2, (1,), 1, f)
+    assert x / 2 == monomial(2, (1,), 4, f)
+    assert x / f.coerce(3) == generator(2, 1, f)
+    with pytest.raises(ZeroDivisionError):
+        x / 5

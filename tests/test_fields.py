@@ -83,3 +83,15 @@ def test_fp_hash_matches_eq():
     f = PrimeField(7)
     assert hash(f.coerce(9)) == hash(f.coerce(2))
     assert len({f.coerce(1), f.coerce(8), f.coerce(15)}) == 1
+
+
+def test_fp_int_equality_agrees_with_hash():
+    a = FpElement(5, 6)
+    assert a == 1 and hash(a) == hash(1)
+    assert a != 6 and a != -4
+    for p in (3, 5, 7):
+        for r in range(-2 * p, 2 * p):
+            x = FpElement(p, r)
+            for k in range(-2 * p, 2 * p):
+                if x == k:
+                    assert hash(x) == hash(k)

@@ -287,3 +287,11 @@ def test_gf3_canonical_maximal():
     a = canonical_max_commutative(4, field=f)
     assert a.dim == 12
     assert is_maximal_commutative(a)
+
+
+def test_hom_infers_the_field_of_its_images():
+    f = PrimeField(5)
+    h = hom_from_images([parse_element("v{2}", 2, f), parse_element("2*v{1}", 2, f)])
+    assert h.field == f
+    assert h.apply_space(full_space(2, f)) == full_space(2, f)
+    assert hom_from_images([elem("v{1}", 2)]).field == QQ

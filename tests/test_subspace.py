@@ -335,3 +335,44 @@ def test_gf5_lane_matches_rational_behavior():
 def test_subspace_repr():
     s = span([elem("v{1}+v{2}", 2)])
     assert "v{1}+v{2}" in repr(s)
+
+
+def test_intersect_brute_force_oracle_gf3():
+    """The intersection's elements are exactly the common elements."""
+    f = PrimeField(3)
+    n = 3
+    rng = random.Random(101)
+    for _ in range(6):
+        a = rand_space(rng, n, max_dim=4, field=f)
+        b = rand_space(rng, n, max_dim=4, field=f)
+        common = set(all_space_elements(a)) & set(all_space_elements(b))
+        assert set(all_space_elements(a.intersect(b))) == common
+
+
+def test_split_generator_brute_force_oracle_gf3():
+    """split_generator(d, i) is ker(s_i|d) (+) s_i(d), element by element."""
+    f = PrimeField(3)
+    n = 4
+    rng = random.Random(103)
+    for _ in range(6):
+        d = rand_space(rng, n, max_dim=3, field=f)
+        i = rng.randint(1, n)
+        members = list(all_space_elements(d))
+        ker = {x for x in members if x.substitute_zero(i).is_zero()}
+        img = {x.substitute_zero(i) for x in members}
+        s = split_generator(d, i)
+        elements = list(all_space_elements(s))
+        assert len(elements) == len(ker) * len(img)
+        for e in elements:
+            assert e.substitute_zero(i) in img
+            assert e - e.substitute_zero(i) in ker
+
+
+def test_span_refuses_coefficients_outside_its_field():
+    with pytest.raises(AmbientMismatch):
+        span([elem("v{1}+v{2}", 2)], field=PrimeField(5))
+    with pytest.raises(AmbientMismatch):
+        span([elem("v{1}", 2, PrimeField(3))], field=PrimeField(5))
+    with pytest.raises(AmbientMismatch):
+        Subspace(2, QQ, [elem("v{1}", 2, PrimeField(5))])
+    assert span([elem("v{1}", 2, PrimeField(5))]).field == PrimeField(5)
