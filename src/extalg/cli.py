@@ -20,9 +20,9 @@ import json
 import sys
 
 from .fields import field_by_name
-from .setfamilies import SearchBudgetExceeded, SetFamily, max_odd_intersecting
+from .setfamilies import SearchBudgetExceeded, max_odd_intersecting
 from .structure import analyze, max_commutative_dim
-from .subspace import initial_span, monomialize
+from .subspace import initial_span, monomial_family, monomialize
 from .text import ParseError, parse_expression, print_element, read_subspace, write_subspace
 from .verify import DEFAULT_SEED, run_checks
 
@@ -76,13 +76,7 @@ def cmd_gamma(args) -> int:
     d = _load_document(args.doc)
     order = _parse_perm(args.perm) if args.perm else None
     m = monomialize(d, order)
-    if m.dim != d.dim:
-        print("error: split chain changed the dimension (%d -> %d)" % (d.dim, m.dim), file=sys.stderr)
-        return 1
-    if not m.is_monomial():
-        print("error: split chain left a non-monomial basis", file=sys.stderr)
-        return 1
-    fam = SetFamily(d.n, m.pivot_masks())
+    fam = monomial_family(m)
     out = {"subspace": write_subspace(m), "family": fam.to_sets(), "dim": m.dim}
     if order is None:
         out["matches_initial_span"] = m == initial_span(d)

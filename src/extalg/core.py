@@ -178,9 +178,14 @@ def _coerce_coeff(c):
     raise TypeError("unsupported coefficient %r" % (c,))
 
 
-def _scalar(c):
-    """A scalar acting on elements: ints act on every field as they are."""
-    return c if type(c) is int else _coerce_coeff(c)
+def _scalar(c, terms):
+    """c as a scalar of the field of terms: ints act on every field."""
+    if type(c) is not int:
+        return _coerce_coeff(c)
+    for x in terms.values():
+        # x * 0 is the field's zero, so a multiple of p becomes zero in GF(p)
+        return x * 0 + c
+    return Fraction(c)
 
 
 def _same_field(a, b):
@@ -274,7 +279,7 @@ class GrassmannElement:
         return self.__add__(-other)
 
     def scale(self, c):
-        c = _scalar(c)
+        c = _scalar(c, self.terms)
         if not c:
             return GrassmannElement(self.n, {}, _canonical=True)
         return GrassmannElement(self.n, {m: c * x for m, x in self.terms.items()}, _canonical=True)
@@ -313,7 +318,7 @@ class GrassmannElement:
             return NotImplemented
 
     def __truediv__(self, c):
-        c = _scalar(c)
+        c = _scalar(c, self.terms)
         if not c:
             raise ZeroDivisionError("division of an element by zero")
         return GrassmannElement(self.n, {m: x / c for m, x in self.terms.items()}, _canonical=True)

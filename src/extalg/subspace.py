@@ -21,7 +21,7 @@ kernel.
 
 from __future__ import annotations
 
-from .core import AmbientMismatch, GrassmannElement
+from .core import AmbientMismatch, GrassmannElement, _same_field
 from .fields import QQ, PrimeField, FpElement
 from .setfamilies import SetFamily, star
 
@@ -40,6 +40,7 @@ __all__ = [
     "split_generator",
     "monomialize",
     "initial_span",
+    "monomial_family",
     "monomial_supports",
     "min_degree_space",
     "skew_form",
@@ -124,10 +125,9 @@ class Subspace:
         self.n = n
         self.field = field
         self.basis = tuple(basis)
-        kind, p = type(field.zero), field.characteristic
         for b in self.basis:
             for c in b.terms.values():
-                if type(c) is not kind or (p and c.p != p):
+                if not _same_field(c, field.zero):
                     raise AmbientMismatch("coefficient %r outside the field %s" % (c, field.name))
         self._pivots = {min(b.terms): b.terms for b in self.basis}
 
@@ -304,12 +304,16 @@ def initial_span(d: Subspace) -> Subspace:
     return monomial_space(d.n, d.pivot_masks(), d.field)
 
 
-def monomial_supports(d: Subspace, order=None) -> SetFamily:
-    """Supports of the monomial basis that the full split chain produces."""
-    m = monomialize(d, order)
+def monomial_family(m: Subspace) -> SetFamily:
+    """Supports of the basis of a monomial subspace."""
     if not m.is_monomial():
         raise AssertionError("split chain left a non-monomial basis: %r" % (m,))
-    return SetFamily(d.n, m.pivot_masks())
+    return SetFamily(m.n, m.pivot_masks())
+
+
+def monomial_supports(d: Subspace, order=None) -> SetFamily:
+    """Supports of the monomial basis that the full split chain produces."""
+    return monomial_family(monomialize(d, order))
 
 
 def min_degree_space(a: Subspace) -> Subspace:

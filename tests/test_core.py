@@ -244,3 +244,6 @@ def test_prime_field_elements_scale_and_divide_by_ints():
     assert x / f.coerce(3) == generator(2, 1, f)
     with pytest.raises(ZeroDivisionError):
         x / 5
+    assert x.scale(5).is_zero()
+    assert x * 5 == 5 * x == zero(2)
+    assert (x * 7).terms == {0b01: f.coerce(1)}

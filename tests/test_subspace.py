@@ -14,6 +14,7 @@ from extalg.subspace import (
     hilbert_series,
     initial_span,
     min_degree_space,
+    monomial_family,
     monomial_space,
     monomial_supports,
     monomialize,
@@ -221,6 +222,12 @@ def test_monomial_supports():
     d = span([elem("v{1,2,3}+v{4,5,6}", 6), elem("v{1,2,4}+v{3,5,6}", 6)])
     assert monomial_supports(d).to_sets() == [[1, 2, 3], [1, 2, 4]]
     assert monomial_supports(d, [1, 2, 6, 4, 5, 3]).to_sets() == [[1, 2, 4], [4, 5, 6]]
+
+
+def test_monomial_family_needs_a_monomial_basis():
+    assert monomial_family(monomial_space(4, [0b0011, 0b0100])).to_sets() == [[1, 2], [3]]
+    with pytest.raises(AssertionError):
+        monomial_family(span([elem("v{1}+v{2}", 2)]))
 
 
 def test_product_span():
