@@ -207,10 +207,15 @@ class GrassmannElement:
             return
         clean = {}
         top = 1 << n
+        first = None
         for mask, c in terms.items():
             if not isinstance(mask, int) or not 0 <= mask < top:
                 raise ValueError("term mask %r out of range for n=%d" % (mask, n))
             c = _coerce_coeff(c)
+            if first is None:
+                first = c
+            elif not _same_field(c, first):
+                raise AmbientMismatch("coefficients over different fields: %r and %r" % (first, c))
             if c:
                 clean[mask] = c
         self.terms = clean

@@ -1,11 +1,17 @@
 """Subalgebra structure: commutativity tests, maximal commutative subalgebras,
 algebra maps from generator images, and the graded radical invariant.
 
-The even part is central and odd elements commute exactly when their product
-vanishes, so a subspace containing the even part is a maximal commutative
-subalgebra precisely when its odd part squares to zero, is stable under
-multiplication by the even part, and equals its own orthogonal space under
-the skew pairing.  That criterion is what is_maximal_commutative checks.
+Each predicate is one statement about one product span, taken with the
+algebra's generators: a subspace is an ideal when multiplying by the degree-1
+generators keeps it, and an E_even-submodule when multiplying by the degree-2
+monomials (which generate E_even) keeps it.  The even part is central and odd
+elements anticommute, so x*y - y*x = 2*x_odd*y_odd; as 2 is invertible, a
+subspace is commutative when the odd parts of its basis vectors span a
+square-zero space.  A subspace containing E_even holds each member's even
+part, so it is E_even plus its odd part, which its basis vectors' odd parts
+span.  It is a maximal commutative subalgebra precisely when that odd part
+squares to zero, is stable under E_even, and equals its own orthogonal space
+under the skew pairing.  That criterion is what is_maximal_commutative checks.
 """
 
 from __future__ import annotations
@@ -21,10 +27,8 @@ from .subspace import (
     Subspace,
     _field_of,
     even_space,
-    full_space,
     hilbert_series,
     monomial_space,
-    odd_space,
     perp,
     product_span,
     span,
@@ -52,22 +56,24 @@ __all__ = [
 ]
 
 
+def _monomials_of_degree(n, k, field):
+    """Degree 1 generates E, degree 2 generates E_even (empty when n = 1)."""
+    return monomial_space(n, (m for m in range(1 << n) if m.bit_count() == k), field)
+
+
+def _odd_parts(a: Subspace) -> Subspace:
+    """Span of the basis vectors' odd parts: a's odd part if a contains E_even."""
+    return span([b.odd_part() for b in a.basis], n=a.n, field=a.field)
+
+
 def is_subalgebra(a: Subspace) -> bool:
     """Closed under products (unit not required)."""
-    for x in a.basis:
-        for y in a.basis:
-            if not a.contains(x * y):
-                return False
-    return True
+    return a.contains_space(product_span(a, a))
 
 
 def is_commutative(a: Subspace) -> bool:
-    basis = a.basis
-    for i, x in enumerate(basis):
-        for y in basis[i + 1 :]:
-            if x * y != y * x:
-                return False
-    return True
+    """x*y - y*x = 2*x_odd*y_odd, so the odd parts must square to zero."""
+    return is_square_zero(_odd_parts(a))
 
 
 def is_square_zero(d: Subspace) -> bool:
@@ -76,15 +82,15 @@ def is_square_zero(d: Subspace) -> bool:
 
 
 def is_e0_submodule(d: Subspace) -> bool:
-    return d.contains_space(product_span(even_space(d.n, d.field), d))
+    return d.contains_space(product_span(_monomials_of_degree(d.n, 2, d.field), d))
 
 
 def is_left_ideal(x: Subspace) -> bool:
-    return x.contains_space(product_span(full_space(x.n, x.field), x))
+    return x.contains_space(product_span(_monomials_of_degree(x.n, 1, x.field), x))
 
 
 def is_right_ideal(x: Subspace) -> bool:
-    return x.contains_space(product_span(x, full_space(x.n, x.field)))
+    return x.contains_space(product_span(x, _monomials_of_degree(x.n, 1, x.field)))
 
 
 def assemble(d: Subspace) -> Subspace:
@@ -99,17 +105,10 @@ def assemble(d: Subspace) -> Subspace:
 
 def is_maximal_commutative(a: Subspace) -> bool:
     """Maximal commutative subalgebra test via the odd-part criterion."""
-    e0 = even_space(a.n, a.field)
-    if not a.contains_space(e0):
+    if not a.contains_space(even_space(a.n, a.field)):
         return False
-    d = a.intersect(odd_space(a.n, a.field))
-    if a.dim != e0.dim + d.dim:
-        return False
-    if not is_square_zero(d):
-        return False
-    if not is_e0_submodule(d):
-        return False
-    return perp(d) == d
+    d = _odd_parts(a)
+    return is_square_zero(d) and is_e0_submodule(d) and perp(d) == d
 
 
 def max_commutative_dim(n: int) -> int:
@@ -137,38 +136,29 @@ def canonical_max_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     """A commutative subalgebra of the maximal dimension.
 
     Even n: the even part plus every monomial through the point l.
-    n = 4k+1: the even part plus the odd levels above n/2.
-    n = 4k+3: additionally the star of (2k+1)-sets through l."""
+    Odd n: upper_levels_commutative, the even part plus the odd levels
+    above n/2, and for n = 4k+3 the star of (2k+1)-sets through l."""
+    if n % 2:
+        return upper_levels_commutative(n, l, field)
     if not 1 <= l <= n:
         raise ValueError("star element %r outside 1..%d" % (l, n))
+    bit = 1 << (l - 1)
     masks = set(_even_masks(n))
-    if n % 2 == 0:
-        bit = 1 << (l - 1)
-        masks.update(m for m in range(1 << n) if m & bit)
-    elif n % 4 == 1:
-        masks.update(odd_upper_levels(n).masks)
-    else:
-        k = (n - 3) // 4
-        masks.update(odd_upper_levels(n).masks)
-        masks.update(star(n, 2 * k + 1, l).masks)
+    masks.update(m for m in range(1 << n) if m & bit)
     return monomial_space(n, masks, field)
 
 
 def upper_levels_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     """The homogeneous companion family: even part, odd levels above n/2,
-    plus a star level when n is 2 mod 4 or 3 mod 4.  For odd n this equals
+    plus a star level when n is 2 mod 4 or 3 mod 4.  For odd n this is
     canonical_max_commutative; for even n it is a maximal commutative
     subalgebra of the same dimension built from whole levels."""
     if not 1 <= l <= n:
         raise ValueError("star element %r outside 1..%d" % (l, n))
     masks = set(_even_masks(n))
     masks.update(odd_upper_levels(n).masks)
-    if n % 4 == 2:
-        k = (n - 2) // 4
-        masks.update(star(n, 2 * k + 1, l).masks)
-    elif n % 4 == 3:
-        k = (n - 3) // 4
-        masks.update(star(n, 2 * k + 1, l).masks)
+    if n % 4 in (2, 3):
+        masks.update(star(n, 2 * ((n - 2) // 4) + 1, l).masks)
     return monomial_space(n, masks, field)
 
 
@@ -206,14 +196,15 @@ class StructureReport:
 
 def analyze(a: Subspace) -> StructureReport:
     graded = a.is_graded()
+    sq = product_span(a, a)
     return StructureReport(
         n=a.n,
         field=a.field.name,
         dim=a.dim,
-        square_dim=product_span(a, a).dim,
-        subalgebra=is_subalgebra(a),
+        square_dim=sq.dim,
+        subalgebra=a.contains_space(sq),
         commutative=is_commutative(a),
-        square_zero=is_square_zero(a),
+        square_zero=sq.is_zero(),
         e0_submodule=is_e0_submodule(a),
         maximal_commutative=is_maximal_commutative(a),
         graded=graded,

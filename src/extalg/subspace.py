@@ -49,10 +49,6 @@ __all__ = [
 ]
 
 
-def _inv(c):
-    return (c / c) / c
-
-
 def _submul(d: dict, c, row: dict):
     """d -= c * row in place; c nonzero."""
     for m, x in row.items():
@@ -78,7 +74,7 @@ def _echelon(dicts, keyfn=None):
             if row is None:
                 c = d[p]
                 if c != 1:
-                    ic = _inv(c)
+                    ic = 1 / c
                     d = {m: ic * x for m, x in d.items()}
                 rows[p] = d
                 break
@@ -145,6 +141,9 @@ class Subspace:
         """Residue of x modulo this subspace (zero iff x belongs to it)."""
         if x.n != self.n:
             raise AmbientMismatch("element from n=%d reduced in n=%d" % (x.n, self.n))
+        # an element holds one field, so one coefficient tells it; zero has none
+        if x.terms and not _same_field(next(iter(x.terms.values())), self.field.zero):
+            raise AmbientMismatch("element over another field reduced in %s" % self.field.name)
         d = dict(x.terms)
         while d:
             p = min(d)

@@ -14,7 +14,7 @@ from extalg.core import (
     unit,
     zero,
 )
-from extalg.fields import QQ, PrimeField
+from extalg.fields import QQ, FpElement, PrimeField
 
 
 def naive_monomial_product(idx_a, idx_b):
@@ -247,3 +247,16 @@ def test_prime_field_elements_scale_and_divide_by_ints():
     assert x.scale(5).is_zero()
     assert x * 5 == 5 * x == zero(2)
     assert (x * 7).terms == {0b01: f.coerce(1)}
+
+
+def test_constructor_refuses_mixed_fields():
+    # an int coefficient is a rational, so it cannot sit beside a GF(5) one
+    with pytest.raises(AmbientMismatch):
+        GrassmannElement(2, {1: FpElement(5, 1), 2: 3})
+    with pytest.raises(AmbientMismatch):
+        GrassmannElement(2, {1: FpElement(5, 1), 2: FpElement(3, 1)})
+    with pytest.raises(AmbientMismatch):
+        GrassmannElement(2, {1: Fraction(1, 2), 2: FpElement(5, 1)})
+    x = GrassmannElement(2, {1: FpElement(5, 1), 2: FpElement(5, 3)})
+    assert x == GrassmannElement(2, {1: PrimeField(5).one, 2: PrimeField(5).coerce(3)})
+    assert GrassmannElement(2, {1: 1, 2: Fraction(1, 2)}).coefficient(2) == Fraction(1, 2)

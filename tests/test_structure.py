@@ -37,6 +37,7 @@ from extalg.subspace import (
     star_space,
 )
 from extalg.text import parse_element
+from extalg.verify import random_intersecting_odd_family, random_shear, random_subspace
 
 
 def elem(s, n):
@@ -295,3 +296,118 @@ def test_hom_infers_the_field_of_its_images():
     assert h.field == f
     assert h.apply_space(full_space(2, f)) == full_space(2, f)
     assert hom_from_images([elem("v{1}", 2)]).field == QQ
+
+
+# The predicates multiply by the algebra's generators and read the odd part off
+# the basis; these are the direct definitions they replace.
+
+def oracle_subalgebra(a):
+    return all(a.contains(x * y) for x in a.basis for y in a.basis)
+
+
+def oracle_commutative(a):
+    return all(x * y == y * x for x in a.basis for y in a.basis)
+
+
+def oracle_e0_submodule(d):
+    return d.contains_space(product_span(even_space(d.n, d.field), d))
+
+
+def oracle_left_ideal(x):
+    return x.contains_space(product_span(full_space(x.n, x.field), x))
+
+
+def oracle_right_ideal(x):
+    return x.contains_space(product_span(x, full_space(x.n, x.field)))
+
+
+def oracle_maximal_commutative(a):
+    e0 = even_space(a.n, a.field)
+    if not a.contains_space(e0):
+        return False
+    d = a.intersect(odd_space(a.n, a.field))
+    if a.dim != e0.dim + d.dim:
+        return False
+    return is_square_zero(d) and oracle_e0_submodule(d) and perp(d) == d
+
+
+PAIRS = [
+    (is_subalgebra, oracle_subalgebra),
+    (is_commutative, oracle_commutative),
+    (is_e0_submodule, oracle_e0_submodule),
+    (is_left_ideal, oracle_left_ideal),
+    (is_right_ideal, oracle_right_ideal),
+    (is_maximal_commutative, oracle_maximal_commutative),
+]
+
+
+def differential_sample():
+    """Seeded random subspaces, assembled families, one-sided ideals and
+    spaces around E_even, for n <= 5 over QQ and GF(3)."""
+    rng = random.Random(20240)
+    out = []
+    for field in (QQ, PrimeField(3)):
+        for n in range(1, 6):
+            out.extend(random_subspace(rng, n, max_dim=4, field=field) for _ in range(4))
+            for _ in range(2):
+                d = family_space(random_intersecting_odd_family(rng, n, max_size=4), field)
+                out.append(assemble(d))
+                x = random_subspace(rng, n, max_dim=2, field=field)
+                out.append(product_span(full_space(n, field), x))
+                out.append(product_span(x, full_space(n, field)))
+                out.append(even_space(n, field).sum(random_subspace(rng, n, max_dim=2, field=field)))
+            out.append(canonical_max_commutative(n, field=field))
+            out.append(random_shear(rng, n, field).apply_space(canonical_max_commutative(n, field=field)))
+    return out
+
+
+def test_predicates_match_their_definitions():
+    seen = {fn.__name__: set() for fn, _ in PAIRS}
+    for a in differential_sample():
+        for fn, oracle in PAIRS:
+            got = fn(a)
+            assert got == oracle(a), (fn.__name__, a)
+            seen[fn.__name__].add(got)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_analyze_fields_match_their_predicates():
+    a = span([elem("v{1}", 3), elem("v{2}", 3)])
+    rep = analyze(a)
+    assert rep.subalgebra is False and rep.commutative is False
+    for b in [a] + differential_sample()[::7]:
+        rep = analyze(b)
+        assert rep.square_dim == product_span(b, b).dim
+        assert rep.subalgebra == is_subalgebra(b) == oracle_subalgebra(b)
+        assert rep.commutative == is_commutative(b) == oracle_commutative(b)
+        assert rep.square_zero == is_square_zero(b)
+        assert rep.e0_submodule == is_e0_submodule(b) == oracle_e0_submodule(b)
+        assert rep.maximal_commutative == is_maximal_commutative(b) == oracle_maximal_commutative(b)
+
+
+def test_analyze_on_one_generator():
+    # n = 1 has no degree-2 monomials: E_even is spanned by the unit alone
+    for field in (QQ, PrimeField(3)):
+        whole = full_space(1, field)
+        rep = analyze(whole)
+        assert rep.dim == max_commutative_dim(1) == 2
+        assert rep.subalgebra and rep.commutative and rep.e0_submodule and rep.maximal_commutative
+        v = span([generator(1, 1, field)])
+        rep = analyze(v)
+        assert rep.square_zero and rep.e0_submodule and not rep.maximal_commutative
+        assert is_left_ideal(v) and is_right_ideal(v)
+        for b in (whole, v, even_space(1, field)):
+            for fn, oracle in PAIRS:
+                assert fn(b) == oracle(b), (fn.__name__, b)
+
+
+def test_odd_canonical_is_the_upper_levels_family():
+    for n in (1, 3, 5, 7):
+        for l in range(1, n + 1):
+            a = canonical_max_commutative(n, l)
+            assert a == upper_levels_commutative(n, l)
+            masks = [m for m in range(1 << n) if m.bit_count() % 2 == 0 or 2 * m.bit_count() > n]
+            if n % 4 == 3:
+                masks += [m for m in range(1 << n) if m >> (l - 1) & 1 and m.bit_count() == (n - 1) // 2]
+            assert a == monomial_space(n, masks)
+            assert a.dim == max_commutative_dim(n)

@@ -383,3 +383,18 @@ def test_span_refuses_coefficients_outside_its_field():
     with pytest.raises(AmbientMismatch):
         Subspace(2, QQ, [elem("v{1}", 2, PrimeField(5))])
     assert span([elem("v{1}", 2, PrimeField(5))]).field == PrimeField(5)
+
+
+def test_reduce_refuses_elements_over_another_field():
+    f = PrimeField(5)
+    s = span([generator(2, 1, f)])
+    with pytest.raises(AmbientMismatch):
+        s.contains(generator(2, 2))  # disjoint from the basis support
+    with pytest.raises(AmbientMismatch):
+        s.contains(generator(2, 1))  # meets the pivot of the basis
+    with pytest.raises(AmbientMismatch):
+        s.reduce(generator(2, 1, PrimeField(3)))
+    with pytest.raises(AmbientMismatch):
+        span([generator(2, 1)]).contains(generator(2, 2, f))
+    assert s.reduce(zero(2)).is_zero() and span([generator(2, 1)]).contains(zero(2))
+    assert s.contains(generator(2, 1, f).scale(3)) and not s.contains(generator(2, 2, f))
