@@ -6,15 +6,17 @@ whose edges join sets with nonempty intersection.  Branch and bound,
 deterministic: vertices are tried in ascending mask order, the bound is
 a greedy coloring count (plus complement pair counting when the ground
 size is even and candidates are closed under complement).  The reported
-certificate is therefore the first maximum family in DFS order.  A node
-budget caps the work; running out raises, it never degrades silently.
+certificate is therefore the first maximum family in DFS order.  The walk
+keeps an explicit stack of the open nodes' candidate sets, so the clique
+size is not limited by Python's recursion limit.  A node budget caps the
+work; running out raises, it never degrades silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import indices_of_mask, mask_of_indices
+from .core import _check_n, indices_of_mask, mask_of_indices
 
 __all__ = [
     "SetFamily",
@@ -41,8 +43,7 @@ class SetFamily:
     __slots__ = ("n", "masks")
 
     def __init__(self, n: int, masks):
-        if not isinstance(n, int) or not 1 <= n <= 16:
-            raise ValueError("ground set size must be in 1..16, got %r" % (n,))
+        _check_n(n)
         top = 1 << n
         ms = sorted(set(masks))
         for m in ms:
@@ -131,6 +132,10 @@ class _CliqueSearch:
     """Maximum clique over candidate masks, edges = nonempty intersection."""
 
     def __init__(self, n, cands, budget):
+        if budget is None:
+            budget = DEFAULT_BUDGET
+        elif not isinstance(budget, int) or budget < 1:
+            raise ValueError("budget must be a positive node count, got %r" % (budget,))
         self.n = n
         self.cands = list(cands)
         self.budget = budget
@@ -151,7 +156,6 @@ class _CliqueSearch:
         self.nodes = 0
         self.best_size = 0
         self.best = []
-        self.stack = []
 
     def _color_count(self, p):
         cnt = 0
@@ -191,96 +195,76 @@ class _CliqueSearch:
                 b = pb
         return b
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise SearchBudgetExceeded(self.budget, self.result())
-
     def result(self):
         fam = SetFamily(self.n, [self.cands[v] for v in self.best])
         return SearchResult(size=self.best_size, family=fam, nodes=self.nodes)
 
-    def _expand(self, p):
-        self._tick()
-        depth = len(self.stack)
-        if depth > self.best_size:
-            self.best_size = depth
-            self.best = list(self.stack)
-        if not p:
-            return
-        if depth + self._bound(p) <= self.best_size:
-            return
-        it = p
-        while it:
-            if depth + it.bit_count() <= self.best_size:
-                break
-            lsb = it & -it
-            v = lsb.bit_length() - 1
-            it &= it - 1
-            p &= ~lsb
-            self.stack.append(v)
-            self._expand(p & self.adj[v])
-            self.stack.pop()
+    def walk(self, target=None):
+        """Depth-first branch and bound on an explicit stack.
 
-    def run(self) -> SearchResult:
-        self._expand((1 << len(self.cands)) - 1)
-        return self.result()
-
-    def enumerate_maxima(self, target):
-        out = []
-
-        def walk(p):
-            self._tick()
-            depth = len(self.stack)
-            if depth == target:
-                out.append(SetFamily(self.n, [self.cands[v] for v in self.stack]))
-                return
-            if depth + self._bound(p) < target:
-                return
-            it = p
-            while it:
-                if depth + it.bit_count() < target:
+        Without a target, return the SearchResult of the first maximum clique.
+        With the maximum size as target, return every clique of that size.
+        floor is the best size so far, or target - 1: a node deeper than floor
+        becomes the best or is collected, and a node is expanded only while
+        depth + bound > floor.  Each open node is one int, its candidates not
+        yet tried: taking the lowest, v, drops it there, and the child's
+        candidates are the rest that meet v."""
+        adj, bound = self.adj, self._bound
+        floor = self.best_size if target is None else target - 1
+        found, clique, open_nodes = [], [], []
+        p = (1 << len(self.cands)) - 1
+        while True:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise SearchBudgetExceeded(self.budget, self.result())
+            depth = len(clique)
+            if depth > floor:
+                if target is None:
+                    floor = self.best_size = depth
+                    self.best = list(clique)
+                else:
+                    found.append(SetFamily(self.n, [self.cands[v] for v in clique]))
+            open_nodes.append(p if p and depth + bound(p) > floor else 0)
+            while open_nodes:
+                p = open_nodes[-1]
+                if p and len(clique) + p.bit_count() > floor:
+                    lsb = p & -p
+                    open_nodes[-1] = p = p ^ lsb
+                    v = lsb.bit_length() - 1
+                    clique.append(v)
+                    p &= adj[v]
                     break
-                lsb = it & -it
-                v = lsb.bit_length() - 1
-                it &= it - 1
-                p &= ~lsb
-                self.stack.append(v)
-                walk(p & self.adj[v])
-                self.stack.pop()
-
-        walk((1 << len(self.cands)) - 1)
-        return out
-
-
-def _resolve_budget(budget):
-    if budget is None:
-        return DEFAULT_BUDGET
-    if not isinstance(budget, int) or budget < 1:
-        raise ValueError("budget must be a positive node count, got %r" % (budget,))
-    return budget
+                open_nodes.pop()
+                if clique:
+                    clique.pop()
+            else:
+                return self.result() if target is None else found
 
 
 def max_odd_intersecting(n: int, budget=None) -> SearchResult:
     """Exact maximum size of an intersecting family of odd subsets of {1..n}.
 
     Default budget covers n <= 7; pass an explicit budget for larger n."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("ground set size must be a positive int, got %r" % (n,))
+    _check_n(n)
     if n > 7 and budget is None:
         raise ValueError("n=%d needs an explicit search budget (default covers n <= 7)" % n)
-    search = _CliqueSearch(n, all_odd_masks(n), _resolve_budget(budget))
-    return search.run()
+    return _CliqueSearch(n, all_odd_masks(n), budget).walk()
+
+
+def _all_maxima(n, cands, budget):
+    """Every maximum clique: find the maximum, then collect each clique of that size."""
+    search = _CliqueSearch(n, cands, budget)
+    top = search.walk()
+    search.nodes = 0
+    return search.walk(top.size)
 
 
 def enumerate_max_odd_intersecting(n: int, budget=None) -> list:
     """Every maximum family, n <= 5 only (the catalog grows fast)."""
+    _check_n(n)
     if n > 5:
         raise ValueError("maxima enumeration is supported for n <= 5 only")
-    search = _CliqueSearch(n, all_odd_masks(n), _resolve_budget(budget))
-    top = search.run()
-    search.nodes = 0
-    return search.enumerate_maxima(top.size)
+    return _all_maxima(n, all_odd_masks(n), budget)
 
 
 def ekr_max(n: int, k: int, budget=None) -> int:
@@ -290,12 +274,12 @@ def ekr_max(n: int, k: int, budget=None) -> int:
     if not isinstance(k, int) or k < 1 or 2 * k > n:
         raise ValueError("level k must satisfy 1 <= k <= n/2, got %r" % (k,))
     cands = [m for m in range(1 << n) if m.bit_count() == k]
-    search = _CliqueSearch(n, cands, _resolve_budget(budget))
-    return search.run().size
+    return _CliqueSearch(n, cands, budget).walk().size
 
 
 def _two_level_cands(n, i):
-    if not isinstance(n, int) or n < 3 or n % 2 == 0:
+    _check_n(n)
+    if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3, got %r" % (n,))
     if not isinstance(i, int) or i < 1 or i % 2 == 0 or not 2 * i < n - 2:
         raise ValueError("level i must be odd with i < n/2 - 1, got %r" % (i,))
@@ -305,8 +289,7 @@ def _two_level_cands(n, i):
 
 def two_level_max(n: int, i: int, budget=None) -> int:
     """Maximum intersecting family using only sizes i and n-i-1 (both odd)."""
-    search = _CliqueSearch(n, _two_level_cands(n, i), _resolve_budget(budget))
-    return search.run().size
+    return _CliqueSearch(n, _two_level_cands(n, i), budget).walk().size
 
 
 def two_level_maxima(n: int, i: int, budget=None) -> list:
@@ -314,7 +297,4 @@ def two_level_maxima(n: int, i: int, budget=None) -> list:
     cands = _two_level_cands(n, i)
     if len(cands) > 40:
         raise ValueError("two-level maxima enumeration limited to 40 candidates")
-    search = _CliqueSearch(n, cands, _resolve_budget(budget))
-    top = search.run()
-    search.nodes = 0
-    return search.enumerate_maxima(top.size)
+    return _all_maxima(n, cands, budget)

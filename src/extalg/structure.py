@@ -10,8 +10,9 @@ subspace is commutative when the odd parts of its basis vectors span a
 square-zero space.  A subspace containing E_even holds each member's even
 part, so it is E_even plus its odd part, which its basis vectors' odd parts
 span.  It is a maximal commutative subalgebra precisely when that odd part
-squares to zero, is stable under E_even, and equals its own orthogonal space
-under the skew pairing.  That criterion is what is_maximal_commutative checks.
+squares to zero and equals its own orthogonal space under the skew pairing
+(stability under E_even follows).  That criterion is what
+is_maximal_commutative checks.
 """
 
 from __future__ import annotations
@@ -103,12 +104,19 @@ def assemble(d: Subspace) -> Subspace:
     return e0.sum(product_span(e0, d)).sum(d)
 
 
+def _commutative_and_maximal(a: Subspace, has_even: bool) -> tuple:
+    """(is_commutative(a), is_maximal_commutative(a)) from one odd part and
+    its square; has_even says whether a contains E_even."""
+    d = _odd_parts(a)
+    commutative = is_square_zero(d)
+    # d is stable under E_even whenever d*d = 0 and d = perp(d): for even e
+    # and x, w in d, (e*x)*w = e*(x*w) = 0, so e*x lies in perp(d) = d.
+    return commutative, commutative and has_even and perp(d) == d
+
+
 def is_maximal_commutative(a: Subspace) -> bool:
     """Maximal commutative subalgebra test via the odd-part criterion."""
-    if not a.contains_space(even_space(a.n, a.field)):
-        return False
-    d = _odd_parts(a)
-    return is_square_zero(d) and is_e0_submodule(d) and perp(d) == d
+    return a.contains_space(even_space(a.n, a.field)) and _commutative_and_maximal(a, True)[1]
 
 
 def max_commutative_dim(n: int) -> int:
@@ -197,16 +205,17 @@ class StructureReport:
 def analyze(a: Subspace) -> StructureReport:
     graded = a.is_graded()
     sq = product_span(a, a)
+    commutative, maximal = _commutative_and_maximal(a, a.contains_space(even_space(a.n, a.field)))
     return StructureReport(
         n=a.n,
         field=a.field.name,
         dim=a.dim,
         square_dim=sq.dim,
         subalgebra=a.contains_space(sq),
-        commutative=is_commutative(a),
+        commutative=commutative,
         square_zero=sq.is_zero(),
         e0_submodule=is_e0_submodule(a),
-        maximal_commutative=is_maximal_commutative(a),
+        maximal_commutative=maximal,
         graded=graded,
         monomial=a.is_monomial(),
         grade_dims=hilbert_series(a) if graded else None,

@@ -169,6 +169,16 @@ def test_maxdim_budget_exhaustion(capsys):
     assert code == 2
 
 
+def test_maxdim_certify_beyond_the_recursion_limit(capsys):
+    # The certificate at n = 12 is a clique of 1024 members, deeper than
+    # Python's default recursion limit of 1000.
+    code, out, _ = run(capsys, "maxdim", "--n", "12", "--certify", "--budget", "4096", "--json", "--stats")
+    assert code == 0
+    d = json.loads(out)
+    assert d["certified"] is True and d["family_size"] == 1024
+    assert d["dim"] == 3072 and d["nodes"] == 2048
+
+
 def test_maxdim_validation(capsys):
     code, _, err = run(capsys, "maxdim", "--n", "0")
     assert code == 2

@@ -100,6 +100,29 @@ def test_search_budget():
         max_odd_intersecting(8)  # larger n demands an explicit budget
 
 
+def test_search_counters_pinned():
+    # The walk's order and pruning fix every node count; a change to either shows here.
+    sizes = [1, 1, 2, 4, 11, 16, 37, 64]
+    nodes = [2, 2, 4, 8, 23, 32, 702, 128]
+    for n in range(1, 9):
+        res = max_odd_intersecting(n, budget=10**5 if n == 8 else None)
+        assert (res.size, res.nodes) == (sizes[n - 1], nodes[n - 1])
+    with pytest.raises(SearchBudgetExceeded) as e:
+        max_odd_intersecting(7, budget=50)
+    assert (e.value.partial.size, e.value.partial.nodes) == (32, 51)
+
+
+def test_ground_size_refused_before_the_search_graph():
+    with pytest.raises(ValueError):
+        max_odd_intersecting(17, budget=1)
+    with pytest.raises(ValueError):
+        max_odd_intersecting(0)
+    with pytest.raises(ValueError):
+        enumerate_max_odd_intersecting(0)
+    with pytest.raises(ValueError):
+        two_level_max(17, 1, budget=1)
+
+
 def test_enumerate_maxima_n3():
     tops = enumerate_max_odd_intersecting(3)
     want = [SetFamily.from_sets(3, [[x], [1, 2, 3]]) for x in (1, 2, 3)]
