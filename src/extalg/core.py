@@ -48,7 +48,7 @@ class AmbientMismatch(ValueError):
 
 
 def _check_n(n):
-    if not isinstance(n, int) or not 1 <= n <= MAX_N:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
         raise ValueError("number of generators must be an int in 1..%d, got %r" % (MAX_N, n))
 
 
@@ -192,23 +192,48 @@ def _same_field(a, b):
     return type(a) is type(b) and (type(a) is Fraction or a.p == b.p)
 
 
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Terms of the product of two elements' terms."""
+    acc = {}
+    for mj, cj in a.items():
+        for mk, ck in b.items():
+            if mj & mk:
+                continue
+            s = sign_of_masks(mj, mk)
+            u = mj | mk
+            add = cj * ck if s > 0 else -(cj * ck)
+            cur = acc.get(u)
+            if cur is None:
+                acc[u] = add
+            else:
+                cur = cur + add
+                if cur:
+                    acc[u] = cur
+                else:
+                    del acc[u]
+    return acc
+
+
+def _element(n: int, terms: dict):
+    """Element on canonical terms: masks below 2^n, nonzero, one field."""
+    x = object.__new__(GrassmannElement)
+    x.n = n
+    x.terms = terms
+    return x
+
+
 class GrassmannElement:
     """Immutable sparse element; do not mutate .terms after construction."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None, _canonical=False):
+    def __init__(self, n: int, terms=None):
         _check_n(n)
         self.n = n
-        if terms is None:
-            terms = {}
-        if _canonical:
-            self.terms = terms
-            return
         clean = {}
         top = 1 << n
         first = None
-        for mask, c in terms.items():
+        for mask, c in (terms or {}).items():
             if not isinstance(mask, int) or not 0 <= mask < top:
                 raise ValueError("term mask %r out of range for n=%d" % (mask, n))
             c = _coerce_coeff(c)
@@ -251,17 +276,17 @@ class GrassmannElement:
     def _check_same(self, other):
         if self.n != other.n:
             raise AmbientMismatch("elements from n=%d and n=%d" % (self.n, other.n))
-
-    def __add__(self, other):
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        self._check_same(other)
         # a zero operand carries no field and mixes with any
         if self.terms and other.terms:
             a = next(iter(self.terms.values()))
             b = next(iter(other.terms.values()))
             if not _same_field(a, b):
                 raise AmbientMismatch("elements over different fields: %r and %r" % (a, b))
+
+    def __add__(self, other):
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
+        self._check_same(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
             s = acc.get(m)
@@ -273,10 +298,10 @@ class GrassmannElement:
                     acc[m] = s
                 else:
                     del acc[m]
-        return GrassmannElement(self.n, acc, _canonical=True)
+        return _element(self.n, acc)
 
     def __neg__(self):
-        return GrassmannElement(self.n, {m: -c for m, c in self.terms.items()}, _canonical=True)
+        return _element(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -286,30 +311,13 @@ class GrassmannElement:
     def scale(self, c):
         c = _scalar(c, self.terms)
         if not c:
-            return GrassmannElement(self.n, {}, _canonical=True)
-        return GrassmannElement(self.n, {m: c * x for m, x in self.terms.items()}, _canonical=True)
+            return _element(self.n, {})
+        return _element(self.n, {m: c * x for m, x in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, GrassmannElement):
             self._check_same(other)
-            acc = {}
-            for mj, cj in self.terms.items():
-                for mk, ck in other.terms.items():
-                    if mj & mk:
-                        continue
-                    s = sign_of_masks(mj, mk)
-                    u = mj | mk
-                    add = cj * ck if s > 0 else -(cj * ck)
-                    cur = acc.get(u)
-                    if cur is None:
-                        acc[u] = add
-                    else:
-                        cur = cur + add
-                        if cur:
-                            acc[u] = cur
-                        else:
-                            del acc[u]
-            return GrassmannElement(self.n, acc, _canonical=True)
+            return _element(self.n, _mul_terms(self.terms, other.terms))
         try:
             return self.scale(other)
         except TypeError:
@@ -326,7 +334,7 @@ class GrassmannElement:
         c = _scalar(c, self.terms)
         if not c:
             raise ZeroDivisionError("division of an element by zero")
-        return GrassmannElement(self.n, {m: x / c for m, x in self.terms.items()}, _canonical=True)
+        return _element(self.n, {m: x / c for m, x in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -343,19 +351,13 @@ class GrassmannElement:
     def grade_component(self, k: int):
         if not 0 <= k <= self.n:
             raise ValueError("degree %r outside 0..%d" % (k, self.n))
-        return GrassmannElement(
-            self.n, {m: c for m, c in self.terms.items() if m.bit_count() == k}, _canonical=True
-        )
+        return _element(self.n, {m: c for m, c in self.terms.items() if m.bit_count() == k})
 
     def even_part(self):
-        return GrassmannElement(
-            self.n, {m: c for m, c in self.terms.items() if not m.bit_count() & 1}, _canonical=True
-        )
+        return _element(self.n, {m: c for m, c in self.terms.items() if not m.bit_count() & 1})
 
     def odd_part(self):
-        return GrassmannElement(
-            self.n, {m: c for m, c in self.terms.items() if m.bit_count() & 1}, _canonical=True
-        )
+        return _element(self.n, {m: c for m, c in self.terms.items() if m.bit_count() & 1})
 
     def is_even(self) -> bool:
         return all(not m.bit_count() & 1 for m in self.terms)
@@ -384,9 +386,7 @@ class GrassmannElement:
         if not isinstance(i, int) or not 1 <= i <= self.n:
             raise ValueError("generator index %r outside 1..%d" % (i, self.n))
         bit = 1 << (i - 1)
-        return GrassmannElement(
-            self.n, {m: c for m, c in self.terms.items() if not m & bit}, _canonical=True
-        )
+        return _element(self.n, {m: c for m, c in self.terms.items() if not m & bit})
 
     def initial_monomial(self) -> Monomial:
         """Largest monomial of the support (smallest mask); undefined on zero."""
@@ -399,7 +399,7 @@ class GrassmannElement:
         if not self.terms:
             return self
         m = min(self.terms)
-        return GrassmannElement(self.n, {m: self.terms[m]}, _canonical=True)
+        return _element(self.n, {m: self.terms[m]})
 
     def __repr__(self):
         from .text import print_element
@@ -434,4 +434,4 @@ def unit(n: int, field=QQ):
 
 
 def zero(n: int) -> GrassmannElement:
-    return GrassmannElement(n, {}, _canonical=True)
+    return GrassmannElement(n)

@@ -27,6 +27,7 @@ from .setfamilies import odd_upper_levels, star
 from .subspace import (
     Subspace,
     _field_of,
+    _space,
     even_space,
     hilbert_series,
     monomial_space,
@@ -64,7 +65,7 @@ def _monomials_of_degree(n, k, field):
 
 def _odd_parts(a: Subspace) -> Subspace:
     """Span of the basis vectors' odd parts: a's odd part if a contains E_even."""
-    return span([b.odd_part() for b in a.basis], n=a.n, field=a.field)
+    return _space(a.n, a.field, [b.odd_part().terms for b in a.basis])
 
 
 def is_subalgebra(a: Subspace) -> bool:

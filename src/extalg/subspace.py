@@ -17,11 +17,16 @@ all come from one routine: the map's (image, source) pairs are stacked with
 the source keys shifted above every image key, one echelon of the stack is
 taken, and the source parts of the rows with a zero image part span the
 kernel.
+
+Rows are term dicts {key: coefficient} throughout this module; elements are
+built only for a Subspace's basis.  span() and Subspace() are the checked
+boundary: span refuses vectors from another algebra or field, and Subspace
+refuses any coefficient outside its field.
 """
 
 from __future__ import annotations
 
-from .core import AmbientMismatch, GrassmannElement, _same_field
+from .core import AmbientMismatch, GrassmannElement, _element, _mul_terms, _same_field, sign_of_masks
 from .fields import QQ, PrimeField, FpElement
 from .setfamilies import SetFamily, star
 
@@ -63,23 +68,30 @@ def _submul(d: dict, c, row: dict):
                 del d[m]
 
 
-def _echelon(dicts, keyfn=None):
+def _reduce(d: dict, rows: dict):
+    """Reduce d in place by {pivot: row}; return its first non-pivot key."""
+    while d:
+        p = min(d)
+        row = rows.get(p)
+        if row is None:
+            return p
+        _submul(d, d[p], row)
+    return None
+
+
+def _echelon(dicts):
     """Reduced echelon rows from term dicts. Returns {pivot: row}."""
     rows = {}
     for d0 in dicts:
         d = dict(d0)
-        while d:
-            p = min(d, key=keyfn) if keyfn else min(d)
-            row = rows.get(p)
-            if row is None:
-                c = d[p]
-                if c != 1:
-                    ic = 1 / c
-                    d = {m: ic * x for m, x in d.items()}
-                rows[p] = d
-                break
-            _submul(d, d[p], row)
-    pivots = sorted(rows, key=keyfn) if keyfn else sorted(rows)
+        p = _reduce(d, rows)
+        if p is not None:
+            c = d[p]
+            if c != 1:
+                ic = 1 / c
+                d = {m: ic * x for m, x in d.items()}
+            rows[p] = d
+    pivots = sorted(rows)
     for i in range(len(pivots) - 1, -1, -1):
         p = pivots[i]
         rp = rows[p]
@@ -92,24 +104,29 @@ def _echelon(dicts, keyfn=None):
 
 
 def _kernel(pairs, top):
-    """Source parts spanning the vectors of span{(image, source)} whose
-    image part is zero.  Image keys lie below top; source keys move up to
-    top + key, so in one echelon of the stacked rows exactly the rows with
-    pivot >= top have a zero image part, and they span that kernel
-    (Zassenhaus)."""
+    """Source parts spanning the kernel of source -> image.  Image keys lie
+    below top, so the rows with pivot >= top have a zero image part."""
     rows = _echelon({**img, **{top + m: c for m, c in src.items()}} for img, src in pairs)
     return [{m - top: c for m, c in row.items()} for p, row in rows.items() if p >= top]
 
 
 def _field_of(vectors, field):
-    if field is not None:
-        return field
+    """field (or the first nonzero vector's, or QQ); refuses vectors over
+    another field.  An element holds one field, so one coefficient tells it."""
     for v in vectors:
         for c in v.terms.values():
-            if isinstance(c, FpElement):
-                return PrimeField(c.p)
-            return QQ
-    return QQ
+            if field is None:
+                field = PrimeField(c.p) if isinstance(c, FpElement) else QQ
+            elif not _same_field(c, field.zero):
+                raise AmbientMismatch("vector %r outside the field %s" % (v, field.name))
+            break
+    return QQ if field is None else field
+
+
+def _space(n, field, dicts) -> "Subspace":
+    """The Subspace over field spanned by term dicts."""
+    rows = _echelon(dicts)
+    return Subspace(n, field, [_element(n, rows[p]) for p in sorted(rows)])
 
 
 class Subspace:
@@ -141,17 +158,10 @@ class Subspace:
         """Residue of x modulo this subspace (zero iff x belongs to it)."""
         if x.n != self.n:
             raise AmbientMismatch("element from n=%d reduced in n=%d" % (x.n, self.n))
-        # an element holds one field, so one coefficient tells it; zero has none
-        if x.terms and not _same_field(next(iter(x.terms.values())), self.field.zero):
-            raise AmbientMismatch("element over another field reduced in %s" % self.field.name)
+        _field_of([x], self.field)
         d = dict(x.terms)
-        while d:
-            p = min(d)
-            row = self._pivots.get(p)
-            if row is None:
-                break
-            _submul(d, d[p], row)
-        return GrassmannElement(self.n, d, _canonical=True)
+        _reduce(d, self._pivots)
+        return _element(self.n, d)
 
     def contains(self, x: GrassmannElement) -> bool:
         return not self.reduce(x).terms
@@ -161,13 +171,12 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return span(list(self.basis) + list(other.basis), n=self.n, field=self.field)
+        return _space(self.n, self.field, [b.terms for b in self.basis + other.basis])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         pairs = [(a.terms, a.terms) for a in self.basis] + [(b.terms, {}) for b in other.basis]
-        cut = _kernel(pairs, 1 << self.n)
-        return span([GrassmannElement(self.n, t, _canonical=True) for t in cut], n=self.n, field=self.field)
+        return _space(self.n, self.field, _kernel(pairs, 1 << self.n))
 
     def _check_compatible(self, other):
         if not isinstance(other, Subspace):
@@ -211,12 +220,7 @@ def span(vectors, n=None, field=None) -> Subspace:
             raise AmbientMismatch("vector from n=%d in span over n=%d" % (v.n, n))
     if n is None:
         raise ValueError("span of no vectors needs an explicit n")
-    field = _field_of(vectors, field)
-    rows = _echelon([v.terms for v in vectors])
-    basis = [
-        GrassmannElement(n, rows[p], _canonical=True) for p in sorted(rows)
-    ]
-    return Subspace(n, field, basis)
+    return _space(n, _field_of(vectors, field), [v.terms for v in vectors])
 
 
 def zero_space(n: int, field=QQ) -> Subspace:
@@ -259,8 +263,7 @@ def family_space(fam: SetFamily, field=QQ) -> Subspace:
 def product_span(a: Subspace, b: Subspace) -> Subspace:
     """Span of all pairwise products of basis vectors (hence of a*b images)."""
     a._check_compatible(b)
-    prods = [x * y for x in a.basis for y in b.basis]
-    return span(prods, n=a.n, field=a.field)
+    return _space(a.n, a.field, (_mul_terms(x.terms, y.terms) for x in a.basis for y in b.basis))
 
 
 def split_generator(d: Subspace, i: int) -> Subspace:
@@ -270,11 +273,10 @@ def split_generator(d: Subspace, i: int) -> Subspace:
     never do), so the dimension is preserved; that is asserted."""
     if not isinstance(i, int) or not 1 <= i <= d.n:
         raise ValueError("generator index %r outside 1..%d" % (i, d.n))
-    imgs = [b.substitute_zero(i) for b in d.basis]
-    ker = _kernel([(im.terms, b.terms) for im, b in zip(imgs, d.basis)], 1 << d.n)
-    vecs = [GrassmannElement(d.n, t, _canonical=True) for t in ker]
-    vecs.extend(im for im in imgs if im.terms)
-    out = span(vecs, n=d.n, field=d.field)
+    bit = 1 << (i - 1)
+    imgs = [{m: c for m, c in b.terms.items() if not m & bit} for b in d.basis]
+    ker = _kernel([(im, b.terms) for im, b in zip(imgs, d.basis)], 1 << d.n)
+    out = _space(d.n, d.field, ker + [im for im in imgs if im])
     if out.dim != d.dim:
         raise AssertionError("generator split changed dimension (%d -> %d)" % (d.dim, out.dim))
     return out
@@ -318,18 +320,13 @@ def monomial_supports(d: Subspace, order=None) -> SetFamily:
 def min_degree_space(a: Subspace) -> Subspace:
     """Span of the lowest-degree homogeneous parts of all members.
 
-    Echelonizing with degree-then-mask pivoting makes the rows' lowest
-    parts independent, so taking them row by row spans the whole thing."""
-    keyfn = lambda m: (m.bit_count(), m)
-    rows = _echelon([b.terms for b in a.basis], keyfn)
-    mins = []
-    for p in sorted(rows, key=keyfn):
-        row = rows[p]
-        lo = min(m.bit_count() for m in row)
-        mins.append(
-            GrassmannElement(a.n, {m: c for m, c in row.items() if m.bit_count() == lo}, _canonical=True)
-        )
-    return span(mins, n=a.n, field=a.field)
+    Echelonizing on the keys (degree << n) | mask pivots degree first, which
+    makes the rows' lowest parts independent; row by row they span the lot."""
+    n = a.n
+    rows = _echelon({(m.bit_count() << n) | m: c for m, c in b.terms.items()} for b in a.basis)
+    low = (1 << n) - 1
+    mins = [{k & low: c for k, c in row.items() if k >> n == p >> n} for p, row in rows.items()]
+    return _space(n, a.field, mins)
 
 
 def skew_form(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
@@ -350,17 +347,18 @@ def perp(d: Subspace) -> Subspace:
         if not b.is_odd():
             raise ValueError("perp is defined for subspaces of the odd part only")
     n = d.n
-    odd_masks = [m for m in range(1 << n) if m.bit_count() & 1]
-    pairs = []
-    for j in odd_masks:
-        vj = GrassmannElement(n, {j: d.field.one})
-        col = {}
-        for k, b in enumerate(d.basis):
-            for t, c in skew_form(vj, b).terms.items():
-                col[(k << n) | t] = c
-        pairs.append((col, {j: d.field.one}))
-    ker = _kernel(pairs, d.dim << n)
-    return span([GrassmannElement(n, t, _canonical=True) for t in ker], n=n, field=d.field)
+    full = (1 << n) - 1
+    # cols[j] holds skew_form(v_j, b_k) at key (k << n) | t for its term v_t.
+    # v_j * v_s reaches the pairing degree only when j is the rest of {1..n}
+    # minus s (n even), or that rest minus one index (n odd).
+    cols = {j: {} for j in range(1 << n) if j.bit_count() & 1}
+    for k, b in enumerate(d.basis):
+        for s, c in b.terms.items():
+            rest = full ^ s
+            for miss in (0,) if n % 2 == 0 else [1 << i for i in range(n) if rest >> i & 1]:
+                j = rest ^ miss
+                cols[j][(k << n) | (full ^ miss)] = c if sign_of_masks(j, s) > 0 else -c
+    return _space(n, d.field, _kernel([(col, {j: d.field.one}) for j, col in cols.items()], d.dim << n))
 
 
 def hilbert_series(a: Subspace) -> tuple:

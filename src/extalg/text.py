@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import GrassmannElement, indices_of_mask, zero
+from .core import GrassmannElement, _check_n, indices_of_mask, zero
 from .fields import QQ, field_by_name
 
 __all__ = [
@@ -294,8 +294,7 @@ def read_subspace(doc: dict):
         if key not in doc:
             raise ValueError("document is missing %r" % key)
     n = doc["n"]
-    if not isinstance(n, int) or not 1 <= n <= 16:
-        raise ValueError("document n must be an int in 1..16, got %r" % (n,))
+    _check_n(n)
     field = field_by_name(doc["field"])
     basis = doc["basis"]
     if not isinstance(basis, list) or not all(isinstance(s, str) for s in basis):

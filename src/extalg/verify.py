@@ -632,7 +632,7 @@ def check_dimension_search(ctx):
     return "search matches the formula (" + ", ".join(rows) + ")"
 
 
-def check_even_canonical(ctx):
+def check_even_maximal(ctx):
     sizes = []
     for n in [m for m in (2, 4, 6) if m <= ctx.upto_n]:
         a = canonical_max_commutative(n, ctx.l)
@@ -649,7 +649,7 @@ def check_even_canonical(ctx):
     return "even n in %r: dim 3*2^(n-2), maximal, odd part self-perp" % (sizes,)
 
 
-def check_odd_canonical(ctx):
+def check_odd_maximal(ctx):
     rows = []
     for n in _ns(ctx, 1, 7):
         if n % 2 == 0:
@@ -932,8 +932,8 @@ CHECKS = [
     ("nongraded-square-n3", check_nongraded_n3),
     ("dimension-table", check_dimension_table),
     ("dimension-search-match", check_dimension_search),
-    ("even-canonical-maximal", check_even_canonical),
-    ("odd-canonical-maximal", check_odd_canonical),
+    ("even-canonical-maximal", check_even_maximal),
+    ("odd-canonical-maximal", check_odd_maximal),
     ("star-algebra-every-n", check_star_all_n),
     ("pairing-nondegenerate", check_pairing_nondegenerate),
     ("assemble-round-trip", check_assemble_round_trip),

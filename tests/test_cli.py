@@ -248,3 +248,10 @@ def test_gamma_runs_the_split_chain_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out)["family"] == [[1], [1, 2]]
     assert sorted(calls) == [1, 2, 3, 4]
+
+
+def test_document_n_refuses_a_bool(capsys, tmp_path):
+    path = write_doc(tmp_path, "bool.json", {"n": True, "field": "rational", "basis": ["v{1}"]})
+    for cmd in ("gamma", "analyze"):
+        code, out, err = run(capsys, cmd, path, "--json")
+        assert code == 2 and out == "" and "1..16" in err

@@ -260,3 +260,25 @@ def test_constructor_refuses_mixed_fields():
     x = GrassmannElement(2, {1: FpElement(5, 1), 2: FpElement(5, 3)})
     assert x == GrassmannElement(2, {1: PrimeField(5).one, 2: PrimeField(5).coerce(3)})
     assert GrassmannElement(2, {1: 1, 2: Fraction(1, 2)}).coefficient(2) == Fraction(1, 2)
+
+
+def test_products_follow_the_field_rule():
+    q1, q2 = generator(2, 1), generator(2, 2)
+    g5 = generator(2, 1, PrimeField(5))
+    g7 = generator(2, 2, PrimeField(7))
+    # disjoint supports, overlapping supports, two prime fields
+    for a, b in ((g5, q2), (q2, g5), (g5, q1), (q1, g5), (g5, g7), (g7, g5)):
+        with pytest.raises(AmbientMismatch):
+            a * b
+    # the zero element carries no field
+    assert zero(2) * g5 == g5 * zero(2) == zero(2)
+    assert g5 * generator(2, 2, PrimeField(5)) == monomial(2, (1, 2), 1, PrimeField(5))
+
+
+def test_n_must_be_an_int_and_not_a_bool():
+    from extalg.setfamilies import max_odd_intersecting
+
+    for make in (lambda: GrassmannElement(True, {}), lambda: zero(True), lambda: Monomial(True, 0),
+                 lambda: max_odd_intersecting(True)):
+        with pytest.raises(ValueError):
+            make()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from extalg.core import generator, monomial, unit
+from extalg.core import AmbientMismatch, generator, monomial, unit, zero
 from extalg.fields import QQ, PrimeField
 from extalg.setfamilies import SetFamily, max_odd_intersecting, odd_upper_levels
 from extalg.structure import (
@@ -296,6 +296,19 @@ def test_hom_infers_the_field_of_its_images():
     assert h.field == f
     assert h.apply_space(full_space(2, f)) == full_space(2, f)
     assert hom_from_images([elem("v{1}", 2)]).field == QQ
+
+
+def test_hom_refuses_images_outside_its_field():
+    f = PrimeField(5)
+    with pytest.raises(AmbientMismatch):
+        hom_from_images([elem("v{1}", 2), elem("v{2}", 2)], field=f)
+    with pytest.raises(AmbientMismatch):
+        hom_from_images([parse_element("v{1}", 2, f), elem("v{2}", 2)])
+    with pytest.raises(AmbientMismatch):
+        hom_from_images([elem("v{1}", 2), parse_element("v{2}", 2, PrimeField(3))], field=QQ)
+    # a zero image lies over every field
+    h = hom_from_images([zero(2), parse_element("v{1}", 2, f)])
+    assert h.field == f and not h.is_bijective()
 
 
 # The predicates multiply by the algebra's generators and read the odd part off

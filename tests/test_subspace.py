@@ -382,6 +382,8 @@ def test_span_refuses_coefficients_outside_its_field():
         span([elem("v{1}", 2, PrimeField(3))], field=PrimeField(5))
     with pytest.raises(AmbientMismatch):
         Subspace(2, QQ, [elem("v{1}", 2, PrimeField(5))])
+    with pytest.raises(AmbientMismatch):
+        span([elem("v{1}", 2, PrimeField(5)), elem("v{1}+v{2}", 2)])  # the supports meet
     assert span([elem("v{1}", 2, PrimeField(5))]).field == PrimeField(5)
 
 
@@ -398,3 +400,69 @@ def test_reduce_refuses_elements_over_another_field():
         span([generator(2, 1)]).contains(generator(2, 2, f))
     assert s.reduce(zero(2)).is_zero() and span([generator(2, 1)]).contains(zero(2))
     assert s.contains(generator(2, 1, f).scale(3)) and not s.contains(generator(2, 2, f))
+
+
+# perp reads the pairing off the basis terms, and min_degree_space pivots on
+# keys with the degree above the mask; these are the direct routes they replace.
+
+def perp_by_skew_form(d):
+    """Kernel of x -> (skew_form(x, b))_b over the odd monomials x."""
+    from extalg.subspace import _kernel
+
+    n, one = d.n, d.field.one
+    pairs = []
+    for j in range(1 << n):
+        if j.bit_count() & 1:
+            col = {}
+            for k, b in enumerate(d.basis):
+                for t, c in skew_form(GrassmannElement(n, {j: one}), b).terms.items():
+                    col[(k << n) | t] = c
+            pairs.append((col, {j: one}))
+    return span([GrassmannElement(n, t) for t in _kernel(pairs, d.dim << n)], n=n, field=d.field)
+
+
+def min_degree_by_forward_echelon(a):
+    """Forward elimination pivoting on the (degree, mask) order: the rows'
+    leading keys differ, so their lowest-degree parts span those of a."""
+    order = lambda m: (m.bit_count(), m)
+    rows = {}
+    for b in a.basis:
+        d = dict(b.terms)
+        while d:
+            p = min(d, key=order)
+            if p not in rows:
+                rows[p] = d
+                break
+            r = rows[p]
+            c = d[p] / r[p]
+            for m, x in r.items():
+                v = d[m] - c * x if m in d else -(c * x)
+                if v:
+                    d[m] = v
+                else:
+                    del d[m]
+    lows = [GrassmannElement(a.n, {m: c for m, c in row.items() if m.bit_count() == p.bit_count()})
+            for p, row in rows.items()]
+    return span(lows, n=a.n, field=a.field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_perp_matches_the_skew_form_kernel(field):
+    rng = random.Random(107)
+    for n in range(1, 8):
+        odd_masks = [m for m in range(1 << n) if m.bit_count() & 1]
+        spaces = [zero_space(n, field), odd_space(n, field)]
+        spaces += [rand_space(rng, n, max_dim=6, field=field, masks=odd_masks) for _ in range(8)]
+        # n = 1 has one odd monomial; from n = 3 on some basis vector is a sum
+        assert n < 3 or any(len(b.terms) > 1 for d in spaces for b in d.basis)
+        for d in spaces:
+            assert perp(d) == perp_by_skew_form(d)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_min_degree_space_matches_a_degree_then_mask_echelon(field):
+    rng = random.Random(109)
+    for n in range(1, 8):
+        for _ in range(8):
+            a = rand_space(rng, n, max_dim=6, field=field)
+            assert min_degree_space(a) == min_degree_by_forward_echelon(a)
