@@ -179,13 +179,17 @@ def _coerce_coeff(c):
 
 
 def _scalar(c, terms):
-    """c as a scalar of the field of terms: ints act on every field."""
-    if type(c) is not int:
-        return _coerce_coeff(c)
+    """c as a scalar of the field of terms: ints act on every field, any other
+    scalar must lie in that field (the zero element has none)."""
     for x in terms.values():
-        # x * 0 is the field's zero, so a multiple of p becomes zero in GF(p)
-        return x * 0 + c
-    return Fraction(c)
+        if type(c) is int:
+            # x * 0 is the field's zero, so a multiple of p becomes zero in GF(p)
+            return x * 0 + c
+        c = _coerce_coeff(c)
+        if not _same_field(c, x):
+            raise AmbientMismatch("scalar %r outside the field of %r" % (c, x))
+        return c
+    return _coerce_coeff(c)
 
 
 def _same_field(a, b):

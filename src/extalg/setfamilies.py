@@ -269,7 +269,8 @@ def enumerate_max_odd_intersecting(n: int, budget=None) -> list:
 
 def ekr_max(n: int, k: int, budget=None) -> int:
     """Maximum intersecting family inside one level of k-sets, 2k <= n <= 12."""
-    if not isinstance(n, int) or not 1 <= n <= 12:
+    _check_n(n)
+    if n > 12:
         raise ValueError("n must be in 1..12, got %r" % (n,))
     if not isinstance(k, int) or k < 1 or 2 * k > n:
         raise ValueError("level k must satisfy 1 <= k <= n/2, got %r" % (k,))

@@ -122,7 +122,7 @@ def is_maximal_commutative(a: Subspace) -> bool:
 
 def max_commutative_dim(n: int) -> int:
     """Dimension of the largest commutative subalgebra on n generators."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive int, got %r" % (n,))
     if n % 2 == 0:
         return 3 * 2 ** (n - 2)

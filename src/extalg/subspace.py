@@ -21,7 +21,10 @@ kernel.
 Rows are term dicts {key: coefficient} throughout this module; elements are
 built only for a Subspace's basis.  span() and Subspace() are the checked
 boundary: span refuses vectors from another algebra or field, and Subspace
-refuses any coefficient outside its field.
+refuses any coefficient outside its field.  _echelon consumes the dicts it is
+given (reduces them in place and keeps some as rows), so every caller passes
+fresh dicts; span() and Subspace.sum copy the terms of their input elements
+at the boundary.
 """
 
 from __future__ import annotations
@@ -54,9 +57,13 @@ __all__ = [
 ]
 
 
-def _submul(d: dict, c, row: dict):
-    """d -= c * row in place; c nonzero."""
+def _eliminate(d: dict, p, row: dict):
+    """d -= d[p] * row in place, for a row monic on its pivot p.  d[p] - d[p]*1
+    is zero, so d[p] is dropped without arithmetic; a one-term row costs none."""
+    c = d.pop(p)
     for m, x in row.items():
+        if m == p:
+            continue
         cur = d.get(m)
         if cur is None:
             d[m] = -(c * x)
@@ -75,15 +82,15 @@ def _reduce(d: dict, rows: dict):
         row = rows.get(p)
         if row is None:
             return p
-        _submul(d, d[p], row)
+        _eliminate(d, p, row)
     return None
 
 
 def _echelon(dicts):
-    """Reduced echelon rows from term dicts. Returns {pivot: row}."""
+    """Reduced echelon rows from term dicts, which it consumes: the dicts are
+    reduced in place and may become rows. Returns {pivot: row}."""
     rows = {}
-    for d0 in dicts:
-        d = dict(d0)
+    for d in dicts:
         p = _reduce(d, rows)
         if p is not None:
             c = d[p]
@@ -97,9 +104,8 @@ def _echelon(dicts):
         rp = rows[p]
         for q in pivots[:i]:
             rq = rows[q]
-            c = rq.get(p)
-            if c:
-                _submul(rq, c, rp)
+            if p in rq:
+                _eliminate(rq, p, rp)
     return rows
 
 
@@ -171,7 +177,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return _space(self.n, self.field, [b.terms for b in self.basis + other.basis])
+        return _space(self.n, self.field, [dict(b.terms) for b in self.basis + other.basis])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -220,7 +226,7 @@ def span(vectors, n=None, field=None) -> Subspace:
             raise AmbientMismatch("vector from n=%d in span over n=%d" % (v.n, n))
     if n is None:
         raise ValueError("span of no vectors needs an explicit n")
-    return _space(n, _field_of(vectors, field), [v.terms for v in vectors])
+    return _space(n, _field_of(vectors, field), [dict(v.terms) for v in vectors])
 
 
 def zero_space(n: int, field=QQ) -> Subspace:
@@ -260,10 +266,24 @@ def family_space(fam: SetFamily, field=QQ) -> Subspace:
     return monomial_space(fam.n, fam.masks, field)
 
 
+def _shared(terms: dict) -> int:
+    """Mask of the indices that every term contains (0 if a term is the unit)."""
+    c = -1
+    for m in terms:
+        c &= m
+    return c
+
+
 def product_span(a: Subspace, b: Subspace) -> Subspace:
-    """Span of all pairwise products of basis vectors (hence of a*b images)."""
+    """Span of all pairwise products of basis vectors (hence of a*b images).
+
+    A pair x, y is skipped when the indices shared by all terms of x meet
+    those shared by all terms of y: then every term product repeats an index
+    and x*y = 0.  For monomial spaces this skips exactly the zero products."""
     a._check_compatible(b)
-    return _space(a.n, a.field, (_mul_terms(x.terms, y.terms) for x in a.basis for y in b.basis))
+    xs = [(_shared(x.terms), x.terms) for x in a.basis]
+    ys = [(_shared(y.terms), y.terms) for y in b.basis]
+    return _space(a.n, a.field, (_mul_terms(tx, ty) for cx, tx in xs for cy, ty in ys if not cx & cy))
 
 
 def split_generator(d: Subspace, i: int) -> Subspace:

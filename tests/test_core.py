@@ -282,3 +282,18 @@ def test_n_must_be_an_int_and_not_a_bool():
                  lambda: max_odd_intersecting(True)):
         with pytest.raises(ValueError):
             make()
+
+
+def test_scalars_from_another_field_are_refused():
+    g5, q = generator(2, 1, PrimeField(5)), generator(2, 1)
+    half, one5, one7 = Fraction(1, 2), PrimeField(5).one, PrimeField(7).one
+    for op in (lambda: g5.scale(half), lambda: g5 * half, lambda: half * g5, lambda: g5 / half,
+               lambda: q.scale(one5), lambda: q * one5, lambda: one5 * q, lambda: q / one5,
+               lambda: g5 * one7, lambda: g5 / one7):
+        with pytest.raises(AmbientMismatch):
+            op()
+    # ints act on every field, a scalar of the element's own field is fine,
+    # and the zero element carries no field
+    assert g5.scale(PrimeField(5).coerce(2)) == g5 * 2 == monomial(2, (1,), 2, PrimeField(5))
+    assert q / half == monomial(2, (1,), 2) and q.scale(half) == half * q
+    assert zero(2).scale(one5) == zero(2) / one7 == zero(2)

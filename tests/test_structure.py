@@ -106,6 +106,15 @@ def test_max_commutative_dim_table():
         max_commutative_dim(0)
 
 
+def test_max_commutative_dim_refuses_bools_but_not_large_n():
+    for bad in (True, False, 0, -3, 2.0, "4"):
+        with pytest.raises(ValueError):
+            max_commutative_dim(bad)
+    # the closed formula needs no search, so n is not capped at 16
+    assert max_commutative_dim(18) == 3 * 2 ** 16
+    assert max_commutative_dim(17) > 2 ** 16
+
+
 def test_dim_formula_against_search_oracle():
     for n in range(1, 7):
         res = max_odd_intersecting(n)

@@ -466,3 +466,67 @@ def test_min_degree_space_matches_a_degree_then_mask_echelon(field):
         for _ in range(8):
             a = rand_space(rng, n, max_dim=6, field=field)
             assert min_degree_space(a) == min_degree_by_forward_echelon(a)
+
+
+# product_span skips a pair when the indices shared by all terms of x meet
+# those shared by all terms of y; the oracle multiplies every pair.
+
+def product_span_all_pairs(a, b):
+    return span([x * y for x in a.basis for y in b.basis], n=a.n, field=a.field)
+
+
+def shared_indices(x):
+    c = -1
+    for m in x.terms:
+        c &= m
+    return c
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_product_span_matches_all_pairs(field):
+    rng = random.Random(113)
+    skipped_sums = 0
+    for n in range(1, 8):
+        spaces = [zero_space(n, field)]
+        # every term through index i, so some sums share an index
+        for i in range(n):
+            through_i = [m for m in range(1 << n) if m >> i & 1]
+            spaces.append(rand_space(rng, n, max_dim=4, field=field, masks=through_i))
+        # a unit term: shares no index with anything
+        spaces.append(span([rand_elem(rng, n, field) + unit(n, field), rand_elem(rng, n, field)], n=n, field=field))
+        spaces += [rand_space(rng, n, max_dim=5, field=field) for _ in range(3)]
+        for a in spaces:
+            for b in spaces:
+                assert product_span(a, b) == product_span_all_pairs(a, b)
+                skipped_sums += sum(1 for x in a.basis for y in b.basis
+                                    if shared_indices(x) & shared_indices(y) and len(x.terms) > 1)
+    # the skip rule fires on sums, not only on monomials
+    assert skipped_sums > 0
+
+
+def test_subspace_operations_leave_their_inputs_alone():
+    for field in (QQ, PrimeField(3)):
+        one, two = field.one, field.coerce(2)
+        n = 4
+        # v2 and v3 reduce against v1 on its pivot 0b0001, and v4's pivot
+        # 0b0110 sits in v1 and v3, so back-substitution rewrites them
+        vs = [GrassmannElement(n, t) for t in (
+            {0b0001: one, 0b0110: two, 0b1000: one},
+            {0b0001: two, 0b0011: one},
+            {0b0001: one, 0b0110: one, 0b1100: two},
+            {0b0110: one, 0b1010: one},
+        )]
+        a = span(vs[:2], n=n, field=field)
+        b = span(vs[2:], n=n, field=field)
+        owned = vs + list(a.basis) + list(b.basis)
+        before = [dict(x.terms) for x in owned]
+        span(vs, n=n, field=field)
+        span(vs[::-1], n=n, field=field)
+        a.sum(b)
+        b.sum(a)
+        a.intersect(b)
+        split_generator(a.sum(b), 1)
+        split_generator(b, 2)
+        product_span(a, b)
+        product_span(b, b)
+        assert [x.terms for x in owned] == before
