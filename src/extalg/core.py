@@ -17,13 +17,19 @@ by a top-set-bit argument, pinned by an exhaustive test): v_I > v_J iff
 mask(I) < mask(J) as integers, i.e. reverse colex on supports.  Echelon
 code elsewhere exploits the mask form; `compare_monomials` follows the
 sequence definition.
+
+Every element carries its coefficient field in .field.  The public
+constructor reads it off the coefficients (an int counts as a rational);
+every element built inside the package is given the field it already has,
+so ops never look at a coefficient to learn a field.  A zero element mixes
+with elements over any field and takes any scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, FpElement
+from .fields import QQ, field_of
 
 __all__ = [
     "AmbientMismatch",
@@ -47,18 +53,24 @@ class AmbientMismatch(ValueError):
     """Two operands live in exterior algebras with different n."""
 
 
+def _check_int(x, what, lo, hi=None):
+    """x, if it is an int in lo..hi (no upper end when hi is None); a bool,
+    any other type or a value out of range is refused with ValueError."""
+    if type(x) is not int or x < lo or (hi is not None and x > hi):
+        bounds = ">= %d" % lo if hi is None else "in %d..%d" % (lo, hi)
+        raise ValueError("%s must be an int %s, got %r" % (what, bounds, x))
+    return x
+
+
 def _check_n(n):
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
-        raise ValueError("number of generators must be an int in 1..%d, got %r" % (MAX_N, n))
+    _check_int(n, "number of generators", 1, MAX_N)
 
 
 def mask_of_indices(n: int, indices) -> int:
     """it is an error for an index to repeat or to leave 1..n."""
     mask = 0
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= n:
-            raise ValueError("generator index %r outside 1..%d" % (i, n))
-        bit = 1 << (i - 1)
+        bit = 1 << (_check_int(i, "generator index", 1, n) - 1)
         if mask & bit:
             raise ValueError("generator index %d repeated" % i)
         mask |= bit
@@ -104,10 +116,8 @@ class Monomial:
 
     def __init__(self, n: int, mask: int):
         _check_n(n)
-        if not isinstance(mask, int) or not 0 <= mask < (1 << n):
-            raise ValueError("mask %r out of range for n=%d" % (mask, n))
         self.n = n
-        self.mask = mask
+        self.mask = _check_int(mask, "mask", 0, (1 << n) - 1)
 
     @classmethod
     def from_indices(cls, n: int, indices):
@@ -168,32 +178,15 @@ def compare_monomials(a: Monomial, b: Monomial) -> int:
     return 1 if len(ka) < len(kb) else -1
 
 
-def _coerce_coeff(c):
-    if isinstance(c, (Fraction, FpElement)):
-        return c
-    if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
-    if isinstance(c, float):
-        raise TypeError("floating point coefficients are not allowed; use Fraction")
-    raise TypeError("unsupported coefficient %r" % (c,))
-
-
-def _scalar(c, terms):
-    """c as a scalar of the field of terms: ints act on every field, any other
-    scalar must lie in that field (the zero element has none)."""
-    for x in terms.values():
-        if type(c) is int:
-            # x * 0 is the field's zero, so a multiple of p becomes zero in GF(p)
-            return x * 0 + c
-        c = _coerce_coeff(c)
-        if not _same_field(c, x):
-            raise AmbientMismatch("scalar %r outside the field of %r" % (c, x))
-        return c
-    return _coerce_coeff(c)
-
-
-def _same_field(a, b):
-    return type(a) is type(b) and (type(a) is Fraction or a.p == b.p)
+def _scalar(c, x):
+    """c as a scalar of x's field: an int acts on every field, any other
+    scalar must lie in that field (the zero element takes any)."""
+    if type(c) is int:
+        return x.field.coerce(c)
+    f = field_of(c)
+    if x.terms and f is not x.field and f != x.field:
+        raise AmbientMismatch("scalar %r outside the field %s" % (c, x.field.name))
+    return c
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
@@ -218,10 +211,11 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return acc
 
 
-def _element(n: int, terms: dict):
-    """Element on canonical terms: masks below 2^n, nonzero, one field."""
+def _element(n: int, field, terms: dict):
+    """Element on canonical terms: masks below 2^n, nonzero, all in field."""
     x = object.__new__(GrassmannElement)
     x.n = n
+    x.field = field
     x.terms = terms
     return x
 
@@ -229,24 +223,26 @@ def _element(n: int, terms: dict):
 class GrassmannElement:
     """Immutable sparse element; do not mutate .terms after construction."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "field", "terms")
 
     def __init__(self, n: int, terms=None):
+        """The field is read off the coefficients (QQ when there are none)."""
         _check_n(n)
         self.n = n
         clean = {}
         top = 1 << n
-        first = None
+        field = None
         for mask, c in (terms or {}).items():
-            if not isinstance(mask, int) or not 0 <= mask < top:
+            if type(mask) is not int or not 0 <= mask < top:
                 raise ValueError("term mask %r out of range for n=%d" % (mask, n))
-            c = _coerce_coeff(c)
-            if first is None:
-                first = c
-            elif not _same_field(c, first):
-                raise AmbientMismatch("coefficients over different fields: %r and %r" % (first, c))
+            f = field_of(c)
+            if field is None:
+                field = f
+            elif f is not field:
+                raise AmbientMismatch("coefficients over different fields: %s and %s" % (field.name, f.name))
             if c:
-                clean[mask] = c
+                clean[mask] = Fraction(c) if type(c) is int else c
+        self.field = QQ if field is None else field
         self.terms = clean
 
     # -- inspection ---------------------------------------------------
@@ -278,19 +274,19 @@ class GrassmannElement:
     # -- linear structure ---------------------------------------------
 
     def _check_same(self, other):
+        """The field of a result from self and other; a zero operand mixes with any."""
         if self.n != other.n:
             raise AmbientMismatch("elements from n=%d and n=%d" % (self.n, other.n))
-        # a zero operand carries no field and mixes with any
-        if self.terms and other.terms:
-            a = next(iter(self.terms.values()))
-            b = next(iter(other.terms.values()))
-            if not _same_field(a, b):
-                raise AmbientMismatch("elements over different fields: %r and %r" % (a, b))
+        if not self.terms:
+            return other.field
+        if other.terms and other.field is not self.field and other.field != self.field:
+            raise AmbientMismatch("elements over different fields: %s and %s" % (self.field.name, other.field.name))
+        return self.field
 
     def __add__(self, other):
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        self._check_same(other)
+        field = self._check_same(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
             s = acc.get(m)
@@ -302,10 +298,10 @@ class GrassmannElement:
                     acc[m] = s
                 else:
                     del acc[m]
-        return _element(self.n, acc)
+        return _element(self.n, field, acc)
 
     def __neg__(self):
-        return _element(self.n, {m: -c for m, c in self.terms.items()})
+        return _element(self.n, self.field, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -313,15 +309,15 @@ class GrassmannElement:
         return self.__add__(-other)
 
     def scale(self, c):
-        c = _scalar(c, self.terms)
+        c = _scalar(c, self)
         if not c:
-            return _element(self.n, {})
-        return _element(self.n, {m: c * x for m, x in self.terms.items()})
+            return _element(self.n, self.field, {})
+        return _element(self.n, self.field, {m: c * x for m, x in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, GrassmannElement):
-            self._check_same(other)
-            return _element(self.n, _mul_terms(self.terms, other.terms))
+            field = self._check_same(other)
+            return _element(self.n, field, _mul_terms(self.terms, other.terms))
         try:
             return self.scale(other)
         except TypeError:
@@ -335,10 +331,10 @@ class GrassmannElement:
             return NotImplemented
 
     def __truediv__(self, c):
-        c = _scalar(c, self.terms)
+        c = _scalar(c, self)
         if not c:
             raise ZeroDivisionError("division of an element by zero")
-        return _element(self.n, {m: x / c for m, x in self.terms.items()})
+        return _element(self.n, self.field, {m: x / c for m, x in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -353,15 +349,14 @@ class GrassmannElement:
     # -- grading ------------------------------------------------------
 
     def grade_component(self, k: int):
-        if not 0 <= k <= self.n:
-            raise ValueError("degree %r outside 0..%d" % (k, self.n))
-        return _element(self.n, {m: c for m, c in self.terms.items() if m.bit_count() == k})
+        _check_int(k, "degree", 0, self.n)
+        return _element(self.n, self.field, {m: c for m, c in self.terms.items() if m.bit_count() == k})
 
     def even_part(self):
-        return _element(self.n, {m: c for m, c in self.terms.items() if not m.bit_count() & 1})
+        return _element(self.n, self.field, {m: c for m, c in self.terms.items() if not m.bit_count() & 1})
 
     def odd_part(self):
-        return _element(self.n, {m: c for m, c in self.terms.items() if m.bit_count() & 1})
+        return _element(self.n, self.field, {m: c for m, c in self.terms.items() if m.bit_count() & 1})
 
     def is_even(self) -> bool:
         return all(not m.bit_count() & 1 for m in self.terms)
@@ -387,10 +382,8 @@ class GrassmannElement:
         This is an algebra endomorphism; its square equals itself and its
         kernel (multiples of the killed generator) squares to zero.
         """
-        if not isinstance(i, int) or not 1 <= i <= self.n:
-            raise ValueError("generator index %r outside 1..%d" % (i, self.n))
-        bit = 1 << (i - 1)
-        return _element(self.n, {m: c for m, c in self.terms.items() if not m & bit})
+        bit = 1 << (_check_int(i, "generator index", 1, self.n) - 1)
+        return _element(self.n, self.field, {m: c for m, c in self.terms.items() if not m & bit})
 
     def initial_monomial(self) -> Monomial:
         """Largest monomial of the support (smallest mask); undefined on zero."""
@@ -403,7 +396,7 @@ class GrassmannElement:
         if not self.terms:
             return self
         m = min(self.terms)
-        return _element(self.n, {m: self.terms[m]})
+        return _element(self.n, self.field, {m: self.terms[m]})
 
     def __repr__(self):
         from .text import print_element
@@ -413,12 +406,11 @@ class GrassmannElement:
 
 def monomial(n: int, indices, coeff=1, field=QQ):
     """coeff * v_{indices}; unordered indices pick up the permutation sign."""
+    _check_n(n)
     seen = 0
     inv = 0
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= n:
-            raise ValueError("generator index %r outside 1..%d" % (i, n))
-        bit = 1 << (i - 1)
+        bit = 1 << (_check_int(i, "generator index", 1, n) - 1)
         if seen & bit:
             raise ValueError("generator index %d repeated" % i)
         inv += (seen >> i).bit_count()  # earlier indices above i
@@ -426,7 +418,7 @@ def monomial(n: int, indices, coeff=1, field=QQ):
     c = field.coerce(coeff)
     if inv & 1:
         c = -c
-    return GrassmannElement(n, {seen: c})
+    return _element(n, field, {seen: c} if c else {})
 
 
 def generator(n: int, i: int, field=QQ):
@@ -434,7 +426,8 @@ def generator(n: int, i: int, field=QQ):
 
 
 def unit(n: int, field=QQ):
-    return GrassmannElement(n, {0: field.one})
+    _check_n(n)
+    return _element(n, field, {0: field.one})
 
 
 def zero(n: int) -> GrassmannElement:

@@ -2,16 +2,17 @@
 
 Every coefficient in this package is either a fractions.Fraction or an
 FpElement.  Field descriptors (Rationals, PrimeField) carry the conversion
-and parsing logic; arithmetic lives on the scalars themselves so the rest
-of the code can stay duck-typed.  Characteristic 2 is rejected everywhere,
-the algebra this package computes in needs 2 to be invertible.
+and parsing logic; arithmetic lives on the scalars themselves.  Every
+element records its field descriptor, and field_of is the one place a field
+is read off a single scalar.  Characteristic 2 is rejected everywhere, the
+algebra this package computes in needs 2 to be invertible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["QQ", "Rationals", "PrimeField", "FpElement", "field_by_name"]
+__all__ = ["QQ", "Rationals", "PrimeField", "FpElement", "field_by_name", "field_of"]
 
 
 class Rationals:
@@ -198,3 +199,23 @@ def field_by_name(name: str):
             raise ValueError("malformed field tag %r" % name)
         return PrimeField(int(body))
     raise ValueError("unknown field tag %r (expected 'rational' or 'gf:p')" % name)
+
+
+_PRIME_FIELDS = {}
+
+
+def field_of(c):
+    """The field of one coefficient: QQ for a Fraction or an int (never a
+    bool), GF(p) for an FpElement.  There is one descriptor per p, so the
+    fields read off coefficients compare by identity."""
+    t = type(c)
+    if t is Fraction or t is int or isinstance(c, Fraction):
+        return QQ
+    if t is FpElement:
+        f = _PRIME_FIELDS.get(c.p)
+        if f is None:
+            f = _PRIME_FIELDS[c.p] = PrimeField(c.p)
+        return f
+    if isinstance(c, float):
+        raise TypeError("floating point coefficients are not allowed; use Fraction")
+    raise TypeError("unsupported coefficient %r" % (c,))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_n, indices_of_mask, mask_of_indices
+from .core import _check_int, _check_n, indices_of_mask, mask_of_indices
 
 __all__ = [
     "SetFamily",
@@ -44,13 +44,9 @@ class SetFamily:
 
     def __init__(self, n: int, masks):
         _check_n(n)
-        top = 1 << n
-        ms = sorted(set(masks))
-        for m in ms:
-            if not isinstance(m, int) or not 0 <= m < top:
-                raise ValueError("member mask %r out of range for n=%d" % (m, n))
+        top = (1 << n) - 1
         self.n = n
-        self.masks = tuple(ms)
+        self.masks = tuple(sorted({_check_int(m, "member mask", 0, top) for m in masks}))
 
     @classmethod
     def from_sets(cls, n: int, sets):
@@ -104,9 +100,8 @@ def odd_upper_levels(n: int) -> SetFamily:
 
 def star(n: int, k: int, l: int) -> SetFamily:
     """All k-sets through the point l."""
-    if not 1 <= l <= n:
-        raise ValueError("star element %r outside 1..%d" % (l, n))
-    bit = 1 << (l - 1)
+    _check_int(k, "degree", 0, n)
+    bit = 1 << (_check_int(l, "star element", 1, n) - 1)
     return SetFamily(n, (m for m in range(1 << n) if m & bit and m.bit_count() == k))
 
 
@@ -132,13 +127,9 @@ class _CliqueSearch:
     """Maximum clique over candidate masks, edges = nonempty intersection."""
 
     def __init__(self, n, cands, budget):
-        if budget is None:
-            budget = DEFAULT_BUDGET
-        elif not isinstance(budget, int) or budget < 1:
-            raise ValueError("budget must be a positive node count, got %r" % (budget,))
         self.n = n
         self.cands = list(cands)
-        self.budget = budget
+        self.budget = DEFAULT_BUDGET if budget is None else _check_int(budget, "search budget", 1)
         m = len(self.cands)
         adj = [0] * m
         for a in range(m):
@@ -269,11 +260,8 @@ def enumerate_max_odd_intersecting(n: int, budget=None) -> list:
 
 def ekr_max(n: int, k: int, budget=None) -> int:
     """Maximum intersecting family inside one level of k-sets, 2k <= n <= 12."""
-    _check_n(n)
-    if n > 12:
-        raise ValueError("n must be in 1..12, got %r" % (n,))
-    if not isinstance(k, int) or k < 1 or 2 * k > n:
-        raise ValueError("level k must satisfy 1 <= k <= n/2, got %r" % (k,))
+    _check_int(n, "number of generators", 1, 12)
+    _check_int(k, "level k", 1, n // 2)
     cands = [m for m in range(1 << n) if m.bit_count() == k]
     return _CliqueSearch(n, cands, budget).walk().size
 
@@ -282,8 +270,8 @@ def _two_level_cands(n, i):
     _check_n(n)
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3, got %r" % (n,))
-    if not isinstance(i, int) or i < 1 or i % 2 == 0 or not 2 * i < n - 2:
-        raise ValueError("level i must be odd with i < n/2 - 1, got %r" % (i,))
+    if _check_int(i, "level i", 1, (n - 3) // 2) % 2 == 0:
+        raise ValueError("level i must be odd, got %r" % (i,))
     j = n - i - 1
     return [m for m in range(1 << n) if m.bit_count() in (i, j)]
 

@@ -18,10 +18,10 @@ is_maximal_commutative checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .core import GrassmannElement, unit, zero
+from .core import GrassmannElement, _check_int, unit, zero
 from .fields import QQ
 from .setfamilies import odd_upper_levels, star
 from .subspace import (
@@ -122,8 +122,7 @@ def is_maximal_commutative(a: Subspace) -> bool:
 
 def max_commutative_dim(n: int) -> int:
     """Dimension of the largest commutative subalgebra on n generators."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("n must be a positive int, got %r" % (n,))
+    _check_int(n, "n", 1)
     if n % 2 == 0:
         return 3 * 2 ** (n - 2)
     if n % 4 == 1:
@@ -149,9 +148,7 @@ def canonical_max_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     above n/2, and for n = 4k+3 the star of (2k+1)-sets through l."""
     if n % 2:
         return upper_levels_commutative(n, l, field)
-    if not 1 <= l <= n:
-        raise ValueError("star element %r outside 1..%d" % (l, n))
-    bit = 1 << (l - 1)
+    bit = 1 << (_check_int(l, "star element", 1, n) - 1)
     masks = set(_even_masks(n))
     masks.update(m for m in range(1 << n) if m & bit)
     return monomial_space(n, masks, field)
@@ -162,8 +159,7 @@ def upper_levels_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     plus a star level when n is 2 mod 4 or 3 mod 4.  For odd n this is
     canonical_max_commutative; for even n it is a maximal commutative
     subalgebra of the same dimension built from whole levels."""
-    if not 1 <= l <= n:
-        raise ValueError("star element %r outside 1..%d" % (l, n))
+    _check_int(l, "star element", 1, n)
     masks = set(_even_masks(n))
     masks.update(odd_upper_levels(n).masks)
     if n % 4 in (2, 3):
@@ -187,20 +183,8 @@ class StructureReport:
     grade_dims: tuple | None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "field": self.field,
-            "dim": self.dim,
-            "square_dim": self.square_dim,
-            "subalgebra": self.subalgebra,
-            "commutative": self.commutative,
-            "square_zero": self.square_zero,
-            "e0_submodule": self.e0_submodule,
-            "maximal_commutative": self.maximal_commutative,
-            "graded": self.graded,
-            "monomial": self.monomial,
-            "grade_dims": list(self.grade_dims) if self.grade_dims is not None else None,
-        }
+        grade_dims = list(self.grade_dims) if self.grade_dims is not None else None
+        return {**asdict(self), "grade_dims": grade_dims}
 
 
 def analyze(a: Subspace) -> StructureReport:

@@ -19,18 +19,19 @@ taken, and the source parts of the rows with a zero image part span the
 kernel.
 
 Rows are term dicts {key: coefficient} throughout this module; elements are
-built only for a Subspace's basis.  span() and Subspace() are the checked
-boundary: span refuses vectors from another algebra or field, and Subspace
-refuses any coefficient outside its field.  _echelon consumes the dicts it is
-given (reduces them in place and keeps some as rows), so every caller passes
-fresh dicts; span() and Subspace.sum copy the terms of their input elements
-at the boundary.
+built only for a Subspace's basis, and they are given the subspace's field.
+span() and Subspace() are the checked boundary: span refuses vectors from
+another algebra or field, and Subspace refuses a basis vector whose .field
+is not its own (one comparison per vector, no coefficient is inspected).
+_echelon consumes the dicts it is given (reduces them in place and keeps
+some as rows), so every caller passes fresh dicts; span() and Subspace.sum
+copy the terms of their input elements at the boundary.
 """
 
 from __future__ import annotations
 
-from .core import AmbientMismatch, GrassmannElement, _element, _mul_terms, _same_field, sign_of_masks
-from .fields import QQ, PrimeField, FpElement
+from .core import AmbientMismatch, GrassmannElement, _check_int, _element, _mul_terms, mask_of_indices, sign_of_masks
+from .fields import QQ
 from .setfamilies import SetFamily, star
 
 __all__ = [
@@ -117,22 +118,21 @@ def _kernel(pairs, top):
 
 
 def _field_of(vectors, field):
-    """field (or the first nonzero vector's, or QQ); refuses vectors over
-    another field.  An element holds one field, so one coefficient tells it."""
+    """field (or the first nonzero vector's, or QQ); refuses a nonzero vector
+    over another field.  A zero vector mixes with any."""
     for v in vectors:
-        for c in v.terms.values():
+        if v.terms:
             if field is None:
-                field = PrimeField(c.p) if isinstance(c, FpElement) else QQ
-            elif not _same_field(c, field.zero):
+                field = v.field
+            elif v.field is not field and v.field != field:
                 raise AmbientMismatch("vector %r outside the field %s" % (v, field.name))
-            break
     return QQ if field is None else field
 
 
 def _space(n, field, dicts) -> "Subspace":
     """The Subspace over field spanned by term dicts."""
     rows = _echelon(dicts)
-    return Subspace(n, field, [_element(n, rows[p]) for p in sorted(rows)])
+    return Subspace(n, field, [_element(n, field, rows[p]) for p in sorted(rows)])
 
 
 class Subspace:
@@ -144,10 +144,7 @@ class Subspace:
         self.n = n
         self.field = field
         self.basis = tuple(basis)
-        for b in self.basis:
-            for c in b.terms.values():
-                if not _same_field(c, field.zero):
-                    raise AmbientMismatch("coefficient %r outside the field %s" % (c, field.name))
+        _field_of(self.basis, field)
         self._pivots = {min(b.terms): b.terms for b in self.basis}
 
     @property
@@ -164,10 +161,10 @@ class Subspace:
         """Residue of x modulo this subspace (zero iff x belongs to it)."""
         if x.n != self.n:
             raise AmbientMismatch("element from n=%d reduced in n=%d" % (x.n, self.n))
-        _field_of([x], self.field)
+        _field_of((x,), self.field)
         d = dict(x.terms)
         _reduce(d, self._pivots)
-        return _element(self.n, d)
+        return _element(self.n, self.field, d)
 
     def contains(self, x: GrassmannElement) -> bool:
         return not self.reduce(x).terms
@@ -234,8 +231,7 @@ def zero_space(n: int, field=QQ) -> Subspace:
 
 
 def monomial_space(n: int, masks, field=QQ) -> Subspace:
-    basis = [GrassmannElement(n, {m: field.one}) for m in sorted(set(masks))]
-    return Subspace(n, field, basis)
+    return Subspace(n, field, [_element(n, field, {m: field.one}) for m in SetFamily(n, masks)])
 
 
 def full_space(n: int, field=QQ) -> Subspace:
@@ -243,8 +239,7 @@ def full_space(n: int, field=QQ) -> Subspace:
 
 
 def grade_space(n: int, k: int, field=QQ) -> Subspace:
-    if not 0 <= k <= n:
-        raise ValueError("degree %r outside 0..%d" % (k, n))
+    _check_int(k, "degree", 0, n)
     return monomial_space(n, (m for m in range(1 << n) if m.bit_count() == k), field)
 
 
@@ -291,9 +286,7 @@ def split_generator(d: Subspace, i: int) -> Subspace:
 
     The two pieces meet trivially (kernel terms all contain i, image terms
     never do), so the dimension is preserved; that is asserted."""
-    if not isinstance(i, int) or not 1 <= i <= d.n:
-        raise ValueError("generator index %r outside 1..%d" % (i, d.n))
-    bit = 1 << (i - 1)
+    bit = 1 << (_check_int(i, "generator index", 1, d.n) - 1)
     imgs = [{m: c for m, c in b.terms.items() if not m & bit} for b in d.basis]
     ker = _kernel([(im, b.terms) for im, b in zip(imgs, d.basis)], 1 << d.n)
     out = _space(d.n, d.field, ker + [im for im in imgs if im])
@@ -306,7 +299,7 @@ def _check_order(n, order):
     if order is None:
         return list(range(1, n + 1))
     order = list(order)
-    if sorted(order) != list(range(1, n + 1)):
+    if mask_of_indices(n, order) != (1 << n) - 1:
         raise ValueError("order must be a permutation of 1..%d, got %r" % (n, order))
     return order
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import GrassmannElement, _check_n, indices_of_mask, zero
+from .core import GrassmannElement, _check_n, _element, indices_of_mask
 from .fields import QQ, field_by_name
 
 __all__ = [
@@ -77,6 +77,7 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, n: int, field):
+        _check_n(n)
         self.n = n
         self.field = field
         self.toks = _tokenize(text)
@@ -174,7 +175,7 @@ class _Parser:
     def _term(self, mask, s, c):
         if s < 0:
             c = -c
-        return GrassmannElement(self.n, {mask: c}) if c else zero(self.n)
+        return _element(self.n, self.field, {mask: c} if c else {})
 
     def sum(self, term_fn):
         sign = 1
@@ -244,10 +245,6 @@ def parse_expression(text: str, n: int, field=QQ) -> GrassmannElement:
     return p.finish(p.sum(p.term_calc))
 
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def print_element(x: GrassmannElement) -> str:
     """Canonical text: terms in decreasing monomial order, '+'/'-' joins,
     coefficient 1 elided except on the unit monomial."""
@@ -264,11 +261,11 @@ def print_element(x: GrassmannElement) -> str:
             sign = "+"
             mag = c
         if mask == 0:
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = _mono_str(mask)
         else:
-            body = "%s*%s" % (_coeff_str(mag), _mono_str(mask))
+            body = "%s*%s" % (mag, _mono_str(mask))
         if first:
             out.append(body if sign == "+" else "-" + body)
             first = False

@@ -255,3 +255,27 @@ def test_document_n_refuses_a_bool(capsys, tmp_path):
     for cmd in ("gamma", "analyze"):
         code, out, err = run(capsys, cmd, path, "--json")
         assert code == 2 and out == "" and "1..16" in err
+
+
+# SHA-256 of the --json stdout, recorded before elements carried their field.
+# The verify-paper digest is verify-paper-k0 in perfbench/digests.json.
+PINNED_JSON = [
+    (["verify-paper", "--json"], None, "15ad8dcbdd8774f82cecf70e4ef122e2f38e5f2d59e5cce13fb40d2bba8db03e"),
+    (["gamma"], {"n": 5, "field": "gf:7", "basis": ["3*v{1,2}+v{3,4}+2*v{1}", "v{2}+5*v{1,3,4}",
+                                                    "6*v{1,2,3}+v{4,5}", "v{5}+4*v{2,3}+v{1,4}"]},
+     "8dfe9ee50f2fa2bb427e208a50306a9a38711f1fc1a8fe7e01ed54e7c9137052"),
+    (["analyze"], {"n": 4, "field": "rational", "basis": ["1", "v{1,2}+1/2*v{3,4}", "v{1,3}-v{2,4}", "-2/3*v{1}",
+                                                         "v{1,2,3,4}", "2/3*v{1,2,3}+v{2,3,4}"]},
+     "887d4cf4ebd65119c4e45d3b8c28f58c65bfd5c10fd62f60a232f4bd544788cd"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, digest", PINNED_JSON, ids=["verify-paper", "gamma-gf7", "analyze-rational"])
+def test_json_output_bytes_are_pinned(capsys, tmp_path, argv, doc, digest):
+    import hashlib
+
+    if doc is not None:
+        argv = argv + [write_doc(tmp_path, "d.json", doc), "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

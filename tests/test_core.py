@@ -297,3 +297,45 @@ def test_scalars_from_another_field_are_refused():
     assert g5.scale(PrimeField(5).coerce(2)) == g5 * 2 == monomial(2, (1,), 2, PrimeField(5))
     assert q / half == monomial(2, (1,), 2) and q.scale(half) == half * q
     assert zero(2).scale(one5) == zero(2) / one7 == zero(2)
+
+
+# One integer rule: a generator index, degree, star point, mask or search
+# budget must be an int, never a bool, or the call refuses it with ValueError.
+
+def _integer_rule_calls():
+    from extalg.core import mask_of_indices
+    from extalg.setfamilies import SetFamily, ekr_max, max_odd_intersecting, star, two_level_max
+    from extalg.structure import canonical_max_commutative, upper_levels_commutative
+    from extalg.subspace import grade_space, monomialize, span, split_generator
+
+    d = span([generator(3, 1) + generator(3, 2)])
+    x = generator(3, 1) + monomial(3, (2, 3))
+    # name -> (call, an int it accepts)
+    calls = {
+        "mask_of_indices": (lambda v: mask_of_indices(3, [v]), 1),
+        "monomial": (lambda v: monomial(3, (v,)), 1),
+        "substitute_zero": (lambda v: x.substitute_zero(v), 1),
+        "split_generator": (lambda v: split_generator(d, v), 1),
+        "monomialize": (lambda v: monomialize(d, [v, 2, 3]), 1),
+        "grade_component": (lambda v: x.grade_component(v), 1),
+        "grade_space": (lambda v: grade_space(3, v), 1),
+        "star-k": (lambda v: star(4, v, 1), 1),
+        "ekr_max": (lambda v: ekr_max(4, v), 1),
+        "two_level_max": (lambda v: two_level_max(7, v), 1),
+        "star-l": (lambda v: star(4, 2, v), 1),
+        "canonical_max_commutative": (lambda v: canonical_max_commutative(4, v), 1),
+        "upper_levels_commutative": (lambda v: upper_levels_commutative(5, v), 1),
+        "Monomial": (lambda v: Monomial(3, v), 1),
+        "GrassmannElement": (lambda v: GrassmannElement(3, {v: 1}), 1),
+        "SetFamily": (lambda v: SetFamily(3, [v]), 1),
+        "budget": (lambda v: max_odd_intersecting(3, budget=v), 64),
+    }
+    return [pytest.param(call, bad, good, id="%s-%r" % (name, bad))
+            for name, (call, good) in calls.items() for bad in (True, 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("call, bad, good", _integer_rule_calls())
+def test_integer_arguments_refuse_bools_and_non_ints(call, bad, good):
+    with pytest.raises(ValueError):
+        call(bad)
+    call(good)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from extalg.core import AmbientMismatch, GrassmannElement, generator, monomial, unit, zero
-from extalg.fields import QQ, PrimeField
+from extalg.fields import QQ, PrimeField, field_of
 from extalg.subspace import (
     Subspace,
     even_space,
@@ -27,7 +27,7 @@ from extalg.subspace import (
     star_space,
     zero_space,
 )
-from extalg.text import parse_element
+from extalg.text import parse_element, print_element
 
 
 def elem(s, n, field=QQ):
@@ -530,3 +530,50 @@ def test_subspace_operations_leave_their_inputs_alone():
         product_span(a, b)
         product_span(b, b)
         assert [x.terms for x in owned] == before
+
+
+# Every element carries its field: each result of an element op or a subspace
+# op must carry its operands' field, and every coefficient must lie in it.
+
+def assert_over(x, field):
+    assert x.field == field and all(field_of(c) == field for c in x.terms.values())
+
+
+def nonzero_elem(rng, n, field):
+    """rand_elem, drawn again when every coefficient vanished in the field."""
+    while True:
+        x = rand_elem(rng, n, field)
+        if x:
+            return x
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=["QQ", "GF3", "GF7"])
+def test_every_result_carries_its_operands_field(field):
+    rng = random.Random(127)
+    two = field.coerce(2)
+    for n in range(1, 6):
+        odd_masks = [m for m in range(1 << n) if m.bit_count() & 1]
+        for _ in range(6):
+            x, y, z = nonzero_elem(rng, n, field), rand_elem(rng, n, field), zero(n)
+            results = [x + y, x - y, x * y, x - x, -x, x.scale(two), x.scale(3), x.scale(0), 2 * x, x * two,
+                       x / two, x / 2, x.even_part(), x.odd_part(), x.initial_term(),
+                       parse_element(print_element(x), n, field)]
+            results += [x.grade_component(k) for k in range(n + 1)]
+            results += [x.substitute_zero(i) for i in range(1, n + 1)]
+            # a zero operand mixes with any field, and the result keeps x's
+            results += [z + x, x + z, z - x, x - z, z * x, x * z]
+            for r in results:
+                assert_over(r, field)
+            assert z.scale(two).is_zero() and (z / two).is_zero()
+
+            a, b = rand_space(rng, n, field=field), rand_space(rng, n, field=field)
+            d = rand_space(rng, n, field=field, masks=odd_masks)
+            spaces = [span([z, x, y]), span([z], n=n, field=field), a.sum(b), a.intersect(b),
+                      product_span(a, b), perp(d), min_degree_space(a), initial_span(a)]
+            spaces += [split_generator(a, i) for i in range(1, n + 1)]
+            for s in spaces:
+                assert s.field == field
+                for v in s.basis:
+                    assert_over(v, field)
+            assert_over(a.reduce(x), field)
+            assert_over(a.reduce(z), field)
