@@ -89,18 +89,18 @@ def indices_of_mask(mask: int) -> tuple:
 
 
 def sign_of_masks(j_mask: int, k_mask: int) -> int:
-    """Sign of v_J * v_K: 0 on overlap, else (-1)^#{(j,k): j in J, k in K, j > k}."""
+    """Sign of v_J * v_K: 0 on overlap, else (-1)^#{(j,k): j in J, k in K, j > k}.
+
+    Bit i of s is the parity of the bits of K below i (a prefix XOR over
+    the MAX_N = 16 positions), so the pairs with j > k number (J & s) mod 2."""
     if j_mask & k_mask:
         return 0
-    inv = 0
-    k = k_mask
-    pos = 0
-    while k:
-        if k & 1:
-            inv += (j_mask >> (pos + 1)).bit_count()
-        k >>= 1
-        pos += 1
-    return -1 if inv & 1 else 1
+    s = k_mask << 1
+    s ^= s << 1
+    s ^= s << 2
+    s ^= s << 4
+    s ^= s << 8
+    return -1 if (j_mask & s).bit_count() & 1 else 1
 
 
 def mul_masks(j_mask: int, k_mask: int):

@@ -28,6 +28,7 @@ from .subspace import (
     Subspace,
     _field_of,
     _space,
+    _subspace,
     even_space,
     hilbert_series,
     monomial_space,
@@ -280,7 +281,7 @@ def graded_radical(a: Subspace) -> Subspace:
     if not a.is_graded():
         raise ValueError("the radical shortcut needs a graded subalgebra")
     pos = [b for b in a.basis if b.min_degree() > 0]
-    return Subspace(a.n, a.field, pos)
+    return _subspace(a.n, a.field, pos)
 
 
 def radical_quotient_dim(a: Subspace) -> int:

@@ -21,8 +21,9 @@ kernel.
 Rows are term dicts {key: coefficient} throughout this module; elements are
 built only for a Subspace's basis, and they are given the subspace's field.
 span() and Subspace() are the checked boundary: span refuses vectors from
-another algebra or field, and Subspace refuses a basis vector whose .field
-is not its own (one comparison per vector, no coefficient is inspected).
+another algebra or field, and Subspace refuses those and any basis that is not
+in reduced echelon form.  Every subspace built inside the package goes through
+_subspace, which checks nothing, as core._element does for elements.
 _echelon consumes the dicts it is given (reduces them in place and keeps
 some as rows), so every caller passes fresh dicts; span() and Subspace.sum
 copy the terms of their input elements at the boundary.
@@ -30,7 +31,18 @@ copy the terms of their input elements at the boundary.
 
 from __future__ import annotations
 
-from .core import AmbientMismatch, GrassmannElement, _check_int, _element, _mul_terms, mask_of_indices, sign_of_masks
+from itertools import chain, product
+
+from .core import (
+    AmbientMismatch,
+    GrassmannElement,
+    _check_int,
+    _check_n,
+    _element,
+    _mul_terms,
+    mask_of_indices,
+    sign_of_masks,
+)
 from .fields import QQ
 from .setfamilies import SetFamily, star
 
@@ -132,7 +144,17 @@ def _field_of(vectors, field):
 def _space(n, field, dicts) -> "Subspace":
     """The Subspace over field spanned by term dicts."""
     rows = _echelon(dicts)
-    return Subspace(n, field, [_element(n, field, rows[p]) for p in sorted(rows)])
+    return _subspace(n, field, [_element(n, field, rows[p]) for p in sorted(rows)])
+
+
+def _subspace(n, field, basis) -> "Subspace":
+    """Subspace on a basis already in reduced echelon form over field; checks nothing."""
+    s = object.__new__(Subspace)
+    s.n = n
+    s.field = field
+    s.basis = tuple(basis)
+    s._pivots = {min(b.terms): b.terms for b in s.basis}
+    return s
 
 
 class Subspace:
@@ -141,11 +163,36 @@ class Subspace:
     __slots__ = ("n", "field", "basis", "_pivots")
 
     def __init__(self, n, field, basis):
+        """basis must be a reduced echelon basis over field (see the module
+        docstring).  A vector from another n or field is refused with
+        AmbientMismatch, any other basis with ValueError."""
+        _check_n(n)
+        basis = tuple(basis)
+        for b in basis:
+            if not isinstance(b, GrassmannElement):
+                raise TypeError("Subspace expects GrassmannElement basis vectors, got %r" % (b,))
+            if b.n != n:
+                raise AmbientMismatch("basis vector from n=%d in a subspace of n=%d" % (b.n, n))
+        _field_of(basis, field)
+        pivots = {}
+        last = -1
+        for b in basis:
+            if not b.terms:
+                raise ValueError("a basis holds no zero vector")
+            p = min(b.terms)
+            if p <= last:
+                raise ValueError("basis pivots must strictly increase, %r follows a pivot >= its own" % (b,))
+            if b.terms[p] != field.one:
+                raise ValueError("basis vector %r is not monic on its pivot" % (b,))
+            pivots[p] = b.terms
+            last = p
+        for b in basis:
+            if len(pivots.keys() & b.terms.keys()) > 1:
+                raise ValueError("basis vector %r holds another vector's pivot" % (b,))
         self.n = n
         self.field = field
-        self.basis = tuple(basis)
-        _field_of(self.basis, field)
-        self._pivots = {min(b.terms): b.terms for b in self.basis}
+        self.basis = basis
+        self._pivots = pivots
 
     @property
     def dim(self) -> int:
@@ -227,11 +274,12 @@ def span(vectors, n=None, field=None) -> Subspace:
 
 
 def zero_space(n: int, field=QQ) -> Subspace:
-    return Subspace(n, field, ())
+    _check_n(n)
+    return _subspace(n, field, ())
 
 
 def monomial_space(n: int, masks, field=QQ) -> Subspace:
-    return Subspace(n, field, [_element(n, field, {m: field.one}) for m in SetFamily(n, masks)])
+    return _subspace(n, field, [_element(n, field, {m: field.one}) for m in SetFamily(n, masks)])
 
 
 def full_space(n: int, field=QQ) -> Subspace:
@@ -269,16 +317,35 @@ def _shared(terms: dict) -> int:
     return c
 
 
+def _by_length(space):
+    """(shared indices, terms) of the basis vectors: the one-term ones, then the rest."""
+    one, many = [], []
+    for x in space.basis:
+        (one if len(x.terms) == 1 else many).append((_shared(x.terms), x.terms))
+    return one, many
+
+
 def product_span(a: Subspace, b: Subspace) -> Subspace:
     """Span of all pairwise products of basis vectors (hence of a*b images).
 
     A pair x, y is skipped when the indices shared by all terms of x meet
     those shared by all terms of y: then every term product repeats an index
-    and x*y = 0.  For monomial spaces this skips exactly the zero products."""
+    and x*y = 0.  For monomial spaces this skips exactly the zero products.
+
+    A pair of one-term vectors c*v_I, d*v_J with I and J disjoint has the
+    product +-cd*v_{I|J}, nonzero in any field, so it adds only the monomial
+    v_{I|J}: each such union enters the echelon once, with coefficient 1 and
+    no field arithmetic.  Only pairs holding a vector of two or more terms
+    are multiplied.  The reduced echelon basis of a span is unique, so the
+    order in which rows enter does not change the result."""
     a._check_compatible(b)
-    xs = [(_shared(x.terms), x.terms) for x in a.basis]
-    ys = [(_shared(y.terms), y.terms) for y in b.basis]
-    return _space(a.n, a.field, (_mul_terms(tx, ty) for cx, tx in xs for cy, ty in ys if not cx & cy))
+    a1, am = _by_length(a)
+    b1, bm = _by_length(b)
+    one = a.field.one
+    unions = {cx | cy for cx, _ in a1 for cy, _ in b1 if not cx & cy}
+    pairs = chain(product(am, b1 + bm), product(a1, bm))
+    products = (_mul_terms(tx, ty) for (cx, tx), (cy, ty) in pairs if not cx & cy)
+    return _space(a.n, a.field, chain(({u: one} for u in unions), products))
 
 
 def split_generator(d: Subspace, i: int) -> Subspace:

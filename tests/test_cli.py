@@ -279,3 +279,31 @@ def test_json_output_bytes_are_pinned(capsys, tmp_path, argv, doc, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# analyze --json on three of the benchmark's maximal-n9 documents, built as
+# perfbench/workloads.py builds them (none of the three depends on the seed);
+# the digests are read from perfbench/digests.json.
+def maximal_n9_inputs():
+    from extalg.fields import PrimeField
+    from extalg.setfamilies import star
+    from extalg.structure import assemble, upper_levels_commutative
+    from extalg.subspace import family_space
+
+    return {
+        "canonical-n9": canonical_max_commutative(9),
+        "upper-gf-n8": upper_levels_commutative(8, field=PrimeField(10007)),
+        "star-assembled-n8": assemble(family_space(star(8, 3, 1))),
+    }
+
+
+@pytest.mark.parametrize("name", ["canonical-n9", "upper-gf-n8", "star-assembled-n8"])
+def test_analyze_bytes_match_the_benchmark_digests(capsys, tmp_path, name):
+    import hashlib
+    from pathlib import Path
+
+    digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
+    path = write_doc(tmp_path, name + ".json", write_subspace(maximal_n9_inputs()[name]))
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests["maximal-n9"][name]

@@ -11,6 +11,7 @@ from extalg.core import (
     compare_monomials,
     generator,
     monomial,
+    sign_of_masks,
     unit,
     zero,
 )
@@ -54,6 +55,26 @@ def test_product_against_swap_counting_oracle():
             assert got.is_zero()
         else:
             assert got == monomial(n, merged, sign)
+
+
+def inversion_sign(j_mask, k_mask):
+    """(-1)^#{(j, k): j in J, k in K, j > k}, counted over the index lists."""
+    js = [i for i in range(16) if j_mask >> i & 1]
+    ks = [i for i in range(16) if k_mask >> i & 1]
+    return -1 if sum(1 for j in js for k in ks if j > k) & 1 else 1
+
+
+def test_sign_of_masks_matches_an_inversion_count():
+    # every pair of masks for n <= 8, overlapping ones included
+    for j in range(1 << 8):
+        for k in range(1 << 8):
+            assert sign_of_masks(j, k) == (0 if j & k else inversion_sign(j, k))
+    # seeded disjoint pairs at n = 16, the largest n: the parity reaches bit 15
+    rng = random.Random(131)
+    for _ in range(100_000):
+        j = rng.getrandbits(16)
+        k = rng.getrandbits(16) & ~j
+        assert sign_of_masks(j, k) == inversion_sign(j, k)
 
 
 def test_monomial_unordered_indices_sign():

@@ -5,6 +5,7 @@ import pytest
 
 from extalg.core import AmbientMismatch, GrassmannElement, generator, monomial, unit, zero
 from extalg.fields import QQ, PrimeField, field_of
+from extalg.setfamilies import SetFamily
 from extalg.subspace import (
     Subspace,
     even_space,
@@ -502,6 +503,92 @@ def test_product_span_matches_all_pairs(field):
                                     if shared_indices(x) & shared_indices(y) and len(x.terms) > 1)
     # the skip rule fires on sums, not only on monomials
     assert skipped_sums > 0
+
+
+def odd_intersecting_family(rng, n, most=10):
+    """Up to `most` odd sets that pairwise meet, drawn greedily in random order."""
+    odd = [m for m in range(1 << n) if m.bit_count() & 1]
+    rng.shuffle(odd)
+    fam = []
+    for m in odd:
+        if len(fam) < most and all(m & f for f in fam):
+            fam.append(m)
+    return SetFamily(n, fam)
+
+
+def mixed_space(rng, n, field):
+    """Monomials on a few masks plus a two-term vector on two other masks."""
+    masks = rng.sample(range(1 << n), min(1 << n, 6))
+    sum_masks, mono_masks = masks[:2], masks[2:]
+    one, two = field.one, field.coerce(2)
+    vecs = [GrassmannElement(n, {m: one}) for m in mono_masks]
+    vecs.append(GrassmannElement(n, {sum_masks[0]: one, sum_masks[1]: two}))
+    return span(vecs, n=n, field=field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_product_span_mask_path_matches_all_pairs(field):
+    # product_span adds the union of two disjoint one-term vectors as a
+    # monomial and multiplies only pairs holding a longer vector
+    rng = random.Random(137)
+    union_pairs = multiplied_pairs = 0
+    for n in range(1, 8):
+        spaces = [family_space(odd_intersecting_family(rng, n), field) for _ in range(2)]
+        spaces += [grade_space(n, 1, field), grade_space(n, rng.randint(0, n), field)]
+        if n >= 2:
+            spaces.append(grade_space(n, 2, field))
+            mixed = mixed_space(rng, n, field)
+            assert {len(x.terms) > 1 for x in mixed.basis} == {False, True}
+            spaces.append(mixed)
+        spaces.append(span([unit(n, field), rand_elem(rng, n, field), rand_elem(rng, n, field)], n=n, field=field))
+        for a in spaces:
+            for b in spaces:
+                assert product_span(a, b) == product_span_all_pairs(a, b)
+                for x in a.basis:
+                    for y in b.basis:
+                        if not shared_indices(x) & shared_indices(y):
+                            if len(x.terms) == len(y.terms) == 1:
+                                union_pairs += 1
+                            else:
+                                multiplied_pairs += 1
+    assert union_pairs > 0 and multiplied_pairs > 0
+
+
+def test_subspace_refuses_a_basis_out_of_reduced_echelon_form():
+    q, g3 = QQ, PrimeField(3)
+    with pytest.raises(AmbientMismatch):
+        Subspace(2, q, [generator(3, 1) + generator(3, 2), generator(3, 2)])
+    with pytest.raises(AmbientMismatch):
+        Subspace(2, q, [generator(2, 1), generator(3, 2)])
+    bad = [
+        (q, [zero(3)]),  # a zero vector
+        (q, [elem("v{1}", 3), zero(3)]),
+        (q, [elem("2*v{1}", 3)]),  # not monic on its pivot
+        (g3, [elem("2*v{1}+v{2}", 3, g3)]),
+        (q, [elem("v{2}", 3), elem("v{1}", 3)]),  # pivots not strictly increasing
+        (q, [elem("v{1}+v{3}", 3), elem("v{1}", 3)]),
+        (q, [elem("v{1}+v{2}", 3), elem("v{2}", 3)]),  # a pivot in another vector
+        (q, [elem("v{1}+v{3}", 3), elem("v{2}+v{3}", 3), elem("v{3}", 3)]),
+    ]
+    for field, basis in bad:
+        with pytest.raises(ValueError):
+            Subspace(3, field, basis)
+    with pytest.raises(ValueError):
+        Subspace(True, q, [])
+    # a reduced echelon basis is accepted as it stands
+    rng = random.Random(139)
+    for field in (q, g3):
+        for n in range(1, 6):
+            s = rand_space(rng, n, field=field)
+            assert Subspace(n, field, s.basis) == s
+            assert Subspace(n, field, list(s.basis)).pivot_masks() == s.pivot_masks()
+
+
+def test_zero_space_checks_n():
+    for bad in (True, 99, 0, 2.0):
+        with pytest.raises(ValueError):
+            zero_space(bad)
+    assert zero_space(16).n == 16 and zero_space(1, PrimeField(3)).field == PrimeField(3)
 
 
 def test_subspace_operations_leave_their_inputs_alone():
