@@ -98,8 +98,6 @@ def cmd_maxdim(args) -> int:
         else:
             print(dim)
         return 0
-    if args.n > 7 and args.budget is None:
-        return _fail_usage("--certify beyond n=7 needs an explicit --budget")
     try:
         res = max_odd_intersecting(args.n, budget=args.budget)
     except SearchBudgetExceeded as e:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, field_of
+from .fields import QQ, _check_field, field_of
 
 __all__ = [
     "AmbientMismatch",
@@ -415,7 +415,7 @@ def monomial(n: int, indices, coeff=1, field=QQ):
             raise ValueError("generator index %d repeated" % i)
         inv += (seen >> i).bit_count()  # earlier indices above i
         seen |= bit
-    c = field.coerce(coeff)
+    c = _check_field(field).coerce(coeff)
     if inv & 1:
         c = -c
     return _element(n, field, {seen: c} if c else {})
@@ -427,7 +427,7 @@ def generator(n: int, i: int, field=QQ):
 
 def unit(n: int, field=QQ):
     _check_n(n)
-    return _element(n, field, {0: field.one})
+    return _element(n, field, {0: _check_field(field).one})
 
 
 def zero(n: int) -> GrassmannElement:

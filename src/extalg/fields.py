@@ -201,6 +201,13 @@ def field_by_name(name: str):
     raise ValueError("unknown field tag %r (expected 'rational' or 'gf:p')" % name)
 
 
+def _check_field(field):
+    """field itself when it is QQ or a PrimeField; anything else is refused."""
+    if not isinstance(field, (Rationals, PrimeField)):
+        raise TypeError("expected a field (QQ or a PrimeField), got %r" % (field,))
+    return field
+
+
 _PRIME_FIELDS = {}
 
 

@@ -4,8 +4,8 @@ Members are bitmasks (index i on bit i-1).  The searches are maximum
 clique computations on the graph whose vertices are candidate sets and
 whose edges join sets with nonempty intersection.  Branch and bound,
 deterministic: vertices are tried in ascending mask order, the bound is
-a greedy coloring count (plus complement pair counting when the ground
-size is even and candidates are closed under complement).  The reported
+the lesser of a greedy coloring count and a count of disjoint mated
+pairs, valid for any candidate set (see _CliqueSearch).  The reported
 certificate is therefore the first maximum family in DFS order.  The walk
 keeps an explicit stack of the open nodes' candidate sets, so the clique
 size is not limited by Python's recursion limit.  A node budget caps the
@@ -123,8 +123,30 @@ class SearchBudgetExceeded(RuntimeError):
         self.partial = partial
 
 
+def _down(s, n):
+    """s less its last unmatched index in Greene and Kleitman's (1976)
+    bracket matching: scanning 1..n, an absent index opens a bracket and a
+    present one closes the latest open one.  Injective from level r > n/2
+    onto level r - 1: the symmetric chains it walks are disjoint."""
+    opened = last = 0
+    for i in range(n):
+        if not s >> i & 1:
+            opened += 1
+        elif opened:
+            opened -= 1
+        else:
+            last = 1 << i
+    return s ^ last
+
+
 class _CliqueSearch:
-    """Maximum clique over candidate masks, edges = nonempty intersection."""
+    """Maximum clique over candidate masks, edges = nonempty intersection.
+
+    mate pairs a k-set with its complement for even n, and for odd n with
+    2k < n - 1 with _down of its complement; other sets stay unmated (-1).
+    Both maps are injective, so mated sets are disjoint pairs and a clique
+    holds at most one of each pair: |p| less the pairs inside p bounds it
+    for any input, as the coloring count does, and _bound takes the lesser."""
 
     def __init__(self, n, cands, budget):
         self.n = n
@@ -139,11 +161,17 @@ class _CliqueSearch:
                     adj[a] |= 1 << b
                     adj[b] |= 1 << a
         self.adj = adj
-        # complement pairing applies when candidates are closed under complement
         full = (1 << n) - 1
         pos = {c: i for i, c in enumerate(self.cands)}
-        self.comp = [pos.get(full ^ c, -1) for c in self.cands]
-        self.paired = all(c >= 0 for c in self.comp) and m > 0
+        self.mate = [-1] * m
+        self.low = 0
+        for a, c in enumerate(self.cands):
+            if n % 2 and 2 * c.bit_count() >= n - 1:
+                continue
+            b = pos.get(_down(full ^ c, n) if n % 2 else full ^ c, -1)
+            if b >= 0:
+                self.mate[a], self.mate[b] = b, a
+                self.low |= 1 << min(a, b)
         self.nodes = 0
         self.best_size = 0
         self.best = []
@@ -162,29 +190,17 @@ class _CliqueSearch:
         return cnt
 
     def _pair_count(self, p):
-        cnt = 0
-        seen = 0
-        q = p
+        cnt = p.bit_count()
+        q = p & self.low
         while q:
             lsb = q & -q
-            v = lsb.bit_length() - 1
-            q &= q - 1
-            if seen & lsb:
-                continue
-            cnt += 1
-            seen |= lsb
-            c = self.comp[v]
-            if c >= 0:
-                seen |= 1 << c
+            q ^= lsb
+            if p >> self.mate[lsb.bit_length() - 1] & 1:
+                cnt -= 1
         return cnt
 
     def _bound(self, p):
-        b = self._color_count(p)
-        if self.paired:
-            pb = self._pair_count(p)
-            if pb < b:
-                b = pb
-        return b
+        return min(self._color_count(p), self._pair_count(p))
 
     def result(self):
         fam = SetFamily(self.n, [self.cands[v] for v in self.best])

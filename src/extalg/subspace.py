@@ -43,7 +43,7 @@ from .core import (
     mask_of_indices,
     sign_of_masks,
 )
-from .fields import QQ
+from .fields import QQ, _check_field
 from .setfamilies import SetFamily, star
 
 __all__ = [
@@ -130,8 +130,11 @@ def _kernel(pairs, top):
 
 
 def _field_of(vectors, field):
-    """field (or the first nonzero vector's, or QQ); refuses a nonzero vector
-    over another field.  A zero vector mixes with any."""
+    """field (or the first nonzero vector's, or QQ); refuses a field that is
+    not QQ or a PrimeField and a nonzero vector over another field.  A zero
+    vector mixes with any."""
+    if field is not None:
+        _check_field(field)
     for v in vectors:
         if v.terms:
             if field is None:
@@ -173,7 +176,7 @@ class Subspace:
                 raise TypeError("Subspace expects GrassmannElement basis vectors, got %r" % (b,))
             if b.n != n:
                 raise AmbientMismatch("basis vector from n=%d in a subspace of n=%d" % (b.n, n))
-        _field_of(basis, field)
+        _field_of(basis, _check_field(field))
         pivots = {}
         last = -1
         for b in basis:
@@ -275,10 +278,11 @@ def span(vectors, n=None, field=None) -> Subspace:
 
 def zero_space(n: int, field=QQ) -> Subspace:
     _check_n(n)
-    return _subspace(n, field, ())
+    return _subspace(n, _check_field(field), ())
 
 
 def monomial_space(n: int, masks, field=QQ) -> Subspace:
+    _check_field(field)
     return _subspace(n, field, [_element(n, field, {m: field.one}) for m in SetFamily(n, masks)])
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import GrassmannElement, _check_n, _element, indices_of_mask
-from .fields import QQ, field_by_name
+from .fields import QQ, _check_field, field_by_name
 
 __all__ = [
     "ParseError",
@@ -79,7 +79,7 @@ class _Parser:
     def __init__(self, text: str, n: int, field):
         _check_n(n)
         self.n = n
-        self.field = field
+        self.field = _check_field(field)
         self.toks = _tokenize(text)
         self.i = 0
 

@@ -179,6 +179,20 @@ def test_maxdim_certify_beyond_the_recursion_limit(capsys):
     assert d["dim"] == 3072 and d["nodes"] == 2048
 
 
+def test_maxdim_certify_needs_a_budget_beyond_n7(capsys):
+    code, out, err = run(capsys, "maxdim", "--n", "8", "--certify")
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_maxdim_certifies_n9_within_a_budget(capsys):
+    # The odd-n mates bound n = 9 by 163 at the root, so the search ends within this budget.
+    import hashlib
+
+    code, out, _ = run(capsys, "maxdim", "--n", "9", "--certify", "--budget", "100000", "--json")
+    assert code == 0 and json.loads(out)["certified"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == "a8b6808c9e01bf3d46300abd5825d0c8b25a4fe5fe6503092b22a4b51bb6b152"
+
+
 def test_maxdim_validation(capsys):
     code, _, err = run(capsys, "maxdim", "--n", "0")
     assert code == 2

@@ -95,3 +95,33 @@ def test_fp_int_equality_agrees_with_hash():
             for k in range(-2 * p, 2 * p):
                 if x == k:
                     assert hash(x) == hash(k)
+
+
+def test_a_field_argument_must_be_a_field():
+    from extalg.core import generator, monomial, unit
+    from extalg.structure import canonical_max_commutative, hom_from_images
+    from extalg.subspace import Subspace, monomial_space, span, zero_space
+    from extalg.text import parse_element
+
+    def g(f):  # a generator over f, or over QQ when f is not a field
+        return generator(2, 1, f if isinstance(f, PrimeField) else QQ)
+
+    calls = {
+        "span": lambda f: span([], n=2, field=f),
+        "hom_from_images": lambda f: hom_from_images([g(f)], field=f),
+        "zero_space": lambda f: zero_space(2, field=f),
+        "Subspace": lambda f: Subspace(2, f, [g(f)]),
+        "monomial_space": lambda f: monomial_space(2, [1], field=f),
+        "monomial": lambda f: monomial(2, [2, 1], 3, field=f),
+        "generator": lambda f: generator(2, 1, field=f),
+        "unit": lambda f: unit(2, field=f),
+        "parse_element": lambda f: parse_element("v{1}", 2, f),
+        "canonical_max_commutative": lambda f: canonical_max_commutative(4, field=f),
+    }
+    for name, call in calls.items():
+        for good in (QQ, PrimeField(5)):
+            assert call(good).field == good, name
+        # span and hom_from_images read the field off their vectors when given None
+        for bad in ("QQ", "rational", "x", 3) + (() if name in ("span", "hom_from_images") else (None,)):
+            with pytest.raises(TypeError):
+                call(bad)

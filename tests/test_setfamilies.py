@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from extalg import setfamilies
 from extalg.setfamilies import (
     SearchBudgetExceeded,
     SetFamily,
@@ -16,6 +17,9 @@ from extalg.setfamilies import (
     star,
     two_level_max,
     two_level_maxima,
+    _CliqueSearch,
+    _down,
+    _two_level_cands,
 )
 
 
@@ -182,3 +186,85 @@ def test_family_hash_and_iter():
     f = SetFamily.from_sets(3, [[1], [3]])
     assert set(f) == {0b001, 0b100}
     assert len({f, SetFamily.from_sets(3, [[3], [1]])}) == 1
+
+
+def test_down_drops_one_index_and_is_injective_on_upper_levels():
+    for n in range(1, 13):
+        for r in range(n // 2 + 1, n + 1):
+            level = [m for m in range(1 << n) if m.bit_count() == r]
+            downs = {_down(m, n) for m in level}
+            assert len(downs) == len(level)
+            for m in level:
+                d = _down(m, n)
+                assert d & m == d and d.bit_count() == r - 1
+
+
+@pytest.fixture(scope="module")
+def odd_search():
+    searches = {}
+
+    def build(n):
+        if n not in searches:
+            searches[n] = _CliqueSearch(n, all_odd_masks(n), None)
+        return searches[n]
+
+    return build
+
+
+def test_mates_are_disjoint_pairs(odd_search):
+    for n in range(1, 13):
+        s = odd_search(n)
+        for a, b in enumerate(s.mate):
+            if b >= 0:
+                assert s.mate[b] == a and not s.cands[a] & s.cands[b]
+                assert s.low >> min(a, b) & 1 and not s.low >> max(a, b) & 1
+            else:
+                assert not s.low >> a & 1
+
+
+def test_root_bound_of_the_odd_search(odd_search):
+    def root(n):
+        s = odd_search(n)
+        return s._bound((1 << len(s.cands)) - 1)
+
+    assert root(9) == 163 and root(13) == 2510
+    for n in range(2, 13, 2):
+        assert root(n) == 2 ** (n - 2)
+
+
+class _ColourOnly(_CliqueSearch):
+    """The reference bound: the greedy colouring count alone, no mates."""
+
+    def _bound(self, p):
+        return self._color_count(p)
+
+
+def test_mate_bound_matches_colour_only_search(monkeypatch):
+    def search(cls, n, cands, budget=None):
+        """(size, family, partial?, nodes, root bound) of one search."""
+        s = cls(n, cands, budget)
+        root = s._bound((1 << len(s.cands)) - 1)
+        try:
+            r = s.walk()
+            return r.size, r.family, False, r.nodes, root
+        except SearchBudgetExceeded as e:
+            return e.partial.size, e.partial.family, True, e.partial.nodes, root
+
+    cases = [(n, all_odd_masks(n), None) for n in range(1, 8)]
+    cases += [(n, [m for m in range(1 << n) if m.bit_count() == k], None) for n in range(2, 9) for k in range(1, n // 2 + 1)]
+    cases += [(n, _two_level_cands(n, 1), None) for n in (5, 7, 9)]
+    # the odd sets through 1 already intersect: a valid root bound is their number
+    cases += [(n, [m for m in all_odd_masks(n) if m & 1], None) for n in range(1, 9)]
+    cases += [(7, all_odd_masks(7), b) for b in (10, 50, 137)]
+    for n, cands, budget in cases:
+        mated = search(_CliqueSearch, n, cands, budget)
+        colour = search(_ColourOnly, n, cands, budget)
+        assert mated[:3] == colour[:3] and mated[3] <= colour[3]
+        assert mated[4] >= colour[0]
+    # Colour alone cannot prove n = 8 in 10^4 nodes, but by then it holds the same family.
+    mated = search(_CliqueSearch, 8, all_odd_masks(8))
+    colour = search(_ColourOnly, 8, all_odd_masks(8), 10**4)
+    assert mated[:3] == colour[:2] + (False,) and colour[2] and mated[4] >= colour[0]
+    mated = [enumerate_max_odd_intersecting(3), enumerate_max_odd_intersecting(5), two_level_maxima(5, 1)]
+    monkeypatch.setattr(setfamilies, "_CliqueSearch", _ColourOnly)
+    assert mated == [enumerate_max_odd_intersecting(3), enumerate_max_odd_intersecting(5), two_level_maxima(5, 1)]
