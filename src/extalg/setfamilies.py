@@ -153,13 +153,18 @@ class _CliqueSearch:
         self.cands = list(cands)
         self.budget = DEFAULT_BUDGET if budget is None else _check_int(budget, "search budget", 1)
         m = len(self.cands)
-        adj = [0] * m
-        for a in range(m):
-            ma = self.cands[a]
-            for b in range(a + 1, m):
-                if ma & self.cands[b]:
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
+        # member[i]: the candidates holding index i + 1; a row is the OR of
+        # its set's member masks, less the set itself.
+        member = [0] * n
+        for a, c in enumerate(self.cands):
+            for i in indices_of_mask(c):
+                member[i - 1] |= 1 << a
+        adj = []
+        for a, c in enumerate(self.cands):
+            row = 0
+            for i in indices_of_mask(c):
+                row |= member[i - 1]
+            adj.append(row & ~(1 << a))
         self.adj = adj
         full = (1 << n) - 1
         pos = {c: i for i, c in enumerate(self.cands)}

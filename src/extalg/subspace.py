@@ -18,6 +18,12 @@ the source keys shifted above every image key, one echelon of the stack is
 taken, and the source parts of the rows with a zero image part span the
 kernel.
 
+product_span follows two rules for the products of one-term vectors, which
+are all a monomial algebra has: their unions come from shifted ANDs over a
+2^n-bit set of masks, and they never enter the echelon; the multiplied
+products are echelonized without the union keys and the unions join the
+rows afterwards.
+
 Rows are term dicts {key: coefficient} throughout this module; elements are
 built only for a Subspace's basis, and they are given the subspace's field.
 span() and Subspace() are the checked boundary: span refuses vectors from
@@ -31,7 +37,8 @@ copy the terms of their input elements at the boundary.
 
 from __future__ import annotations
 
-from itertools import chain, product
+from functools import lru_cache
+from itertools import chain, compress, count, product
 
 from .core import (
     AmbientMismatch,
@@ -329,6 +336,40 @@ def _by_length(space):
     return one, many
 
 
+@lru_cache(maxsize=None)
+def _without(n):
+    """without[i]: the 2^n-bit set (bit m stands for mask m) of the masks that
+    lack index i + 1.  Its pattern repeats every 2^(i+1) bits, lower half set."""
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _unions(n, a1, b1):
+    """Ascending masks cx | cy over the disjoint pairs of masks cx in a1, cy in b1.
+
+    b1 becomes one 2^n-bit set B.  The masks disjoint from cx are the AND of
+    without[i] over the indices i of cx; those in B, shifted up by cx, are the
+    unions, since cy + cx = cy | cx for disjoint masks.  Reading the bits off
+    through one binary string keeps the extraction linear in 2^n."""
+    without = _without(n)
+    seen = bytearray((1 << n) + 7 >> 3)
+    for cy in b1:
+        seen[cy >> 3] |= 1 << (cy & 7)
+    b = int.from_bytes(seen, "little")
+    out = 0
+    for cx in a1:
+        d, c = b, cx
+        while c:
+            low = c & -c
+            d &= without[low.bit_length() - 1]
+            c ^= low
+        out |= d << cx
+    return list(compress(count(), bin(out)[:1:-1].encode().translate(_BITS)))
+
+
 def product_span(a: Subspace, b: Subspace) -> Subspace:
     """Span of all pairwise products of basis vectors (hence of a*b images).
 
@@ -338,18 +379,30 @@ def product_span(a: Subspace, b: Subspace) -> Subspace:
 
     A pair of one-term vectors c*v_I, d*v_J with I and J disjoint has the
     product +-cd*v_{I|J}, nonzero in any field, so it adds only the monomial
-    v_{I|J}: each such union enters the echelon once, with coefficient 1 and
-    no field arithmetic.  Only pairs holding a vector of two or more terms
-    are multiplied.  The reduced echelon basis of a span is unique, so the
-    order in which rows enter does not change the result."""
+    v_{I|J}.  Two rules keep these unions cheap:
+    - they come from shifted ANDs over a 2^n-bit set (_unions), never from a
+      loop over the pairs;
+    - they never enter the echelon.  Each union key is popped from every
+      multiplied product, only the rest is echelonized, and each union joins
+      the rows as {u: 1}.  The two sets of rows share no key, so together
+      they are already in reduced echelon form.
+    Only pairs holding a vector of two or more terms are multiplied.  The
+    reduced echelon basis of a span is unique, so the order in which rows
+    enter does not change the result."""
     a._check_compatible(b)
+    n, field = a.n, a.field
     a1, am = _by_length(a)
     b1, bm = _by_length(b)
-    one = a.field.one
-    unions = {cx | cy for cx, _ in a1 for cy, _ in b1 if not cx & cy}
+    unions = _unions(n, [cx for cx, _ in a1], [cy for cy, _ in b1])
     pairs = chain(product(am, b1 + bm), product(a1, bm))
     products = (_mul_terms(tx, ty) for (cx, tx), (cy, ty) in pairs if not cx & cy)
-    return _space(a.n, a.field, chain(({u: one} for u in unions), products))
+    if unions and (am or bm):
+        keys = set(unions)
+        products = ({m: c for m, c in d.items() if m not in keys} for d in products)
+    rows = _echelon(products)
+    for u in unions:
+        rows[u] = {u: field.one}
+    return _subspace(n, field, [_element(n, field, rows[p]) for p in sorted(rows)])
 
 
 def split_generator(d: Subspace, i: int) -> Subspace:

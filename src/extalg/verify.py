@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import GrassmannElement, monomial, unit, zero
+from .core import GrassmannElement, _check_int, monomial, unit, zero
 from .fields import QQ, PrimeField
 from .setfamilies import (
     SetFamily,
@@ -118,6 +118,14 @@ def _ns(ctx, lo, hi):
     out = [n for n in range(lo, hi + 1) if n <= ctx.upto_n]
     if not out:
         raise CheckSkip("needs n>=%d, limited to %d" % (lo, ctx.upto_n))
+    return out
+
+
+def _from_l(ctx, ns):
+    """The ns at which an anchor built on the star index l can run: n >= l."""
+    out = [n for n in ns if n >= ctx.l]
+    if not out:
+        raise CheckSkip("needs n>=l=%d, given n in %r" % (ctx.l, ns))
     return out
 
 
@@ -633,8 +641,11 @@ def check_dimension_search(ctx):
 
 
 def check_even_maximal(ctx):
+    evens = [m for m in (2, 4, 6) if m <= ctx.upto_n]
+    if not evens:
+        raise CheckSkip("needs an even n <= %d" % ctx.upto_n)
     sizes = []
-    for n in [m for m in (2, 4, 6) if m <= ctx.upto_n]:
+    for n in _from_l(ctx, evens):
         a = canonical_max_commutative(n, ctx.l)
         if a.dim != 3 * 2 ** (n - 2):
             raise CheckFailure("canonical algebra at n=%d has dim %d" % (n, a.dim))
@@ -644,14 +655,12 @@ def check_even_maximal(ctx):
         if d.dim != 2 ** (n - 2) or perp(d) != d:
             raise CheckFailure("odd part at n=%d is not its own perp" % n)
         sizes.append(n)
-    if not sizes:
-        raise CheckSkip("needs an even n <= %d" % ctx.upto_n)
     return "even n in %r: dim 3*2^(n-2), maximal, odd part self-perp" % (sizes,)
 
 
 def check_odd_maximal(ctx):
     rows = []
-    for n in _ns(ctx, 1, 7):
+    for n in _from_l(ctx, _ns(ctx, 1, 7)):
         if n % 2 == 0:
             continue
         a = canonical_max_commutative(n, ctx.l)
@@ -665,7 +674,7 @@ def check_odd_maximal(ctx):
 
 def check_star_all_n(ctx):
     rows = []
-    for n in _ns(ctx, 2, 7):
+    for n in _from_l(ctx, _ns(ctx, 2, 7)):
         bit_masks = [m for m in range(1 << n) if m & (1 << (ctx.l - 1))]
         a = even_space(n).sum(monomial_space(n, bit_masks))
         if a.dim != 3 * 2 ** (n - 2):
@@ -699,7 +708,7 @@ def check_pairing_nondegenerate(ctx):
 
 def check_assemble_round_trip(ctx):
     count = 0
-    for n in _ns(ctx, 2, 6):
+    for n in _from_l(ctx, _ns(ctx, 2, 6)):
         a = canonical_max_commutative(n, ctx.l)
         d = a.intersect(odd_space(n))
         if assemble(d) != a:
@@ -787,6 +796,7 @@ def check_certificate_shape_n7(ctx):
 
 def check_radical_n4(ctx):
     _need(ctx, 4)
+    _from_l(ctx, [4])
     a = canonical_max_commutative(4, ctx.l)
     b = upper_levels_commutative(4, ctx.l)
     da, db = radical_quotient_dim(a), radical_quotient_dim(b)
@@ -801,6 +811,7 @@ def check_radical_n4(ctx):
 
 def check_radical_n6(ctx):
     _need(ctx, 6)
+    _from_l(ctx, [6])
     a = canonical_max_commutative(6, ctx.l)
     b = upper_levels_commutative(6, ctx.l)
     da, db = radical_quotient_dim(a), radical_quotient_dim(b)
@@ -981,7 +992,14 @@ ACCEPTANCE = {
 
 
 def run_checks(upto_n=7, seed=DEFAULT_SEED, budget=None, l=1, anchors=None) -> list:
-    """Run the suite (or the named anchors) and collect CheckResults."""
+    """Run the suite (or the named anchors) and collect CheckResults.
+
+    upto_n must be at least 1, a budget at least 1, and the star index l in
+    1..upto_n; anything else is refused with ValueError before a check runs."""
+    _check_int(upto_n, "upto_n", 1)
+    if budget is not None:
+        _check_int(budget, "search budget", 1)
+    _check_int(l, "star index l", 1, upto_n)
     ctx = _Ctx(upto_n, seed, budget, l)
     wanted = set(anchors) if anchors is not None else None
     out = []

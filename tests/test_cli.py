@@ -234,6 +234,45 @@ def test_verify_paper_seed_changes_details_not_verdict(capsys):
     assert code1 == code2 == 0
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--upto-n", "0"], "upto_n"),
+        (["--upto-n", "-3"], "upto_n"),
+        (["--budget", "0"], "budget"),
+        (["--l", "0"], "star index l"),
+        (["--l", "8"], "star index l"),
+        (["--upto-n", "3", "--l", "4"], "star index l"),
+    ],
+    ids=["upto-n-0", "upto-n-negative", "budget-0", "l-0", "l-beyond-default-n", "l-beyond-upto-n"],
+)
+def test_verify_paper_refuses_bad_arguments(capsys, argv, what):
+    # refused before any anchor runs: exit 2, nothing on stdout
+    code, out, err = run(capsys, "verify-paper", *argv)
+    assert code == 2
+    assert out == ""
+    assert what in err
+
+
+def test_verify_paper_passes_every_anchor_at_another_star_index(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--l", "2", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert len(report) == len(verify.CHECKS)
+    assert {r["status"] for r in report} == {"pass"}
+
+
+def test_verify_paper_skips_star_anchors_below_l(capsys):
+    # the anchors built on l run only at n >= l; none of them fails
+    code, out, _ = run(capsys, "verify-paper", "--l", "7", "--json")
+    assert code == 0
+    status = {r["anchor"]: r["status"] for r in json.loads(out)}
+    assert "fail" not in status.values()
+    for anchor in ("even-canonical-maximal", "assemble-round-trip", "radical-invariant-n4", "radical-invariant-n6"):
+        assert status[anchor] == "skip"
+    assert status["odd-canonical-maximal"] == status["star-algebra-every-n"] == "pass"
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         cli.main([])

@@ -268,3 +268,18 @@ def test_mate_bound_matches_colour_only_search(monkeypatch):
     mated = [enumerate_max_odd_intersecting(3), enumerate_max_odd_intersecting(5), two_level_maxima(5, 1)]
     monkeypatch.setattr(setfamilies, "_CliqueSearch", _ColourOnly)
     assert mated == [enumerate_max_odd_intersecting(3), enumerate_max_odd_intersecting(5), two_level_maxima(5, 1)]
+
+
+def pairwise_rows(cands):
+    """The adjacency rows by the definition: bit b of row a when a != b and the sets meet."""
+    return [sum(1 << b for b, d in enumerate(cands) if b != a and c & d) for a, c in enumerate(cands)]
+
+
+def test_adjacency_from_index_masks_matches_pairwise_rows():
+    cases = [(n, all_odd_masks(n)) for n in range(1, 11)]
+    cases += [(n, [m for m in range(1 << n) if m.bit_count() == k]) for n in range(2, 9) for k in range(1, n // 2 + 1)]
+    cases += [(7, _two_level_cands(7, 1))]
+    # the empty set meets nothing; a repeated set meets its copy
+    cases += [(3, [0, 1, 3, 1, 6])]
+    for n, cands in cases:
+        assert _CliqueSearch(n, cands, None).adj == pairwise_rows(cands)

@@ -5,7 +5,8 @@ import pytest
 
 from extalg.core import AmbientMismatch, GrassmannElement, generator, monomial, unit, zero
 from extalg.fields import QQ, PrimeField, field_of
-from extalg.setfamilies import SetFamily
+from extalg.setfamilies import SetFamily, odd_upper_levels
+from extalg.structure import canonical_max_commutative
 from extalg.subspace import (
     Subspace,
     even_space,
@@ -552,6 +553,69 @@ def test_product_span_mask_path_matches_all_pairs(field):
                             else:
                                 multiplied_pairs += 1
     assert union_pairs > 0 and multiplied_pairs > 0
+
+
+def unions_by_loop(a_masks, b_masks):
+    """Masks I | J over every disjoint pair, by a plain loop."""
+    return {x | y for x in a_masks for y in b_masks if not x & y}
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_product_span_of_monomial_spaces_matches_its_mask_sets(n):
+    # product_span finds these unions by shifted ANDs over a 2^n-bit set; the
+    # expected sets are closed forms, and a loop over disjoint pairs for n <= 12
+    def level(k):
+        return {m for m in range(1 << n) if m.bit_count() == k}
+
+    upper = family_space(odd_upper_levels(n))
+    canon = canonical_max_commutative(n)
+    star3 = star_space(n, 3, 1)
+    cases = [
+        (grade_space(n, 2), grade_space(n, 3), level(5)),
+        (grade_space(n, 1), grade_space(n, n // 2), level(n // 2 + 1)),
+        (grade_space(n, 0), grade_space(n, n), level(n)),
+        (grade_space(n, n), grade_space(n, 1), set()),
+        (star3, grade_space(n, 2), {m for m in level(5) if m & 1}),
+        (star3, star3, set()),
+        (upper, upper, set()),
+        (upper, grade_space(n, 1), {m for m in range(1 << n) if m.bit_count() % 2 == 0 and 2 * m.bit_count() > n + 2}),
+        # a subalgebra holding the unit is its own square
+        (canon, canon, set(canon.pivot_masks())),
+    ]
+    for a, b, want in cases:
+        got = product_span(a, b)
+        assert got.is_monomial() and got.field is QQ
+        assert got.pivot_masks() == tuple(sorted(want))
+        if n <= 12:
+            assert unions_by_loop(a.pivot_masks(), b.pivot_masks()) == want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("n", [8, 9])
+def test_product_span_matches_all_pairs_on_mixed_spaces(n, field):
+    # unions are popped from the multiplied products and join the rows after
+    # the echelon; the oracle echelonizes every product
+    rng = random.Random(151 + n)
+    level1 = [1 << i for i in range(n)]
+    level2 = [m for m in range(1 << n) if m.bit_count() == 2]
+    low = [m for m in range(1 << n) if 2 <= m.bit_count() <= 3]
+    stripped = 0
+    for _ in range(3):
+        monos = level1 + rng.sample(level2, 10) + rng.sample(range(1 << n), 6)
+        vecs = [GrassmannElement(n, {m: field.one}) for m in monos]
+        vecs += [rand_elem(rng, n, field, masks=low, max_terms=3) for _ in range(4)]
+        vecs += [rand_elem(rng, n, field) for _ in range(2)]
+        a = span(vecs, n=n, field=field)
+        b = span(vecs[::2], n=n, field=field)
+        for x, y in [(a, a), (a, b), (b, a)]:
+            assert {len(v.terms) > 1 for v in x.basis} == {False, True}
+            assert product_span(x, y) == product_span_all_pairs(x, y)
+            keys = unions_by_loop([min(v.terms) for v in x.basis if len(v.terms) == 1],
+                                  [min(v.terms) for v in y.basis if len(v.terms) == 1])
+            stripped += sum(bool(keys & (u * v).terms.keys()) for u in x.basis for v in y.basis
+                            if len(u.terms) > 1 or len(v.terms) > 1)
+    # products do carry union keys, so the pop path runs
+    assert stripped > 0
 
 
 def test_subspace_refuses_a_basis_out_of_reduced_echelon_form():
