@@ -22,14 +22,13 @@ Every element carries its coefficient field in .field.  The public
 constructor reads it off the coefficients (an int counts as a rational);
 every element built inside the package is given the field it already has,
 so ops never look at a coefficient to learn a field.  A zero element mixes
-with elements over any field and takes any scalar.
+with elements over any field and takes any scalar.  Rational coefficients
+stay ints until a division (fields._inverse) makes a Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .fields import QQ, _check_field, field_of
+from .fields import QQ, _check_field, _inverse, field_of
 
 __all__ = [
     "AmbientMismatch",
@@ -241,7 +240,7 @@ class GrassmannElement:
             elif f is not field:
                 raise AmbientMismatch("coefficients over different fields: %s and %s" % (field.name, f.name))
             if c:
-                clean[mask] = Fraction(c) if type(c) is int else c
+                clean[mask] = c
         self.field = QQ if field is None else field
         self.terms = clean
 
@@ -334,7 +333,8 @@ class GrassmannElement:
         c = _scalar(c, self)
         if not c:
             raise ZeroDivisionError("division of an element by zero")
-        return _element(self.n, self.field, {m: x / c for m, x in self.terms.items()})
+        ic = _inverse(c)
+        return _element(self.n, self.field, {m: ic * x for m, x in self.terms.items()})
 
     def __eq__(self, other):
         return (

@@ -1,11 +1,16 @@
 """Exact coefficient fields: rationals and prime fields of odd characteristic.
 
-Every coefficient in this package is either a fractions.Fraction or an
-FpElement.  Field descriptors (Rationals, PrimeField) carry the conversion
-and parsing logic; arithmetic lives on the scalars themselves.  Every
-element records its field descriptor, and field_of is the one place a field
-is read off a single scalar.  Characteristic 2 is rejected everywhere, the
-algebra this package computes in needs 2 to be invertible.
+Every coefficient in this package is an int or a fractions.Fraction (both
+rational) or an FpElement.  A rational stays a plain int while it is
+integral; a Fraction appears only when a division makes one, and the one
+place a coefficient is inverted is _inverse (FpElement divides on its own).
+Ints and Fractions go through the same operators, and equal values compare
+and hash alike, so which of the two holds a value never changes a result.
+Field descriptors (Rationals, PrimeField) carry the conversion and parsing
+logic; arithmetic lives on the scalars themselves.  Every element records
+its field descriptor, and field_of is the one place a field is read off a
+single scalar.  Characteristic 2 is rejected everywhere, the algebra this
+package computes in needs 2 to be invertible.
 """
 
 from __future__ import annotations
@@ -16,22 +21,26 @@ __all__ = ["QQ", "Rationals", "PrimeField", "FpElement", "field_by_name", "field
 
 
 class Rationals:
-    """Descriptor for the rational field (coefficients are Fraction)."""
+    """Descriptor for the rational field: coefficients are ints while they
+    are integral, Fractions once a division makes one."""
 
     name = "rational"
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
+        # the exact type test first: isinstance(value, Fraction) is an ABC check
+        if type(value) is int:
+            return value
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
+            return int(value)
         raise TypeError("cannot coerce %r into the rational field" % (value,))
 
     def from_ratio(self, num: int, den: int = 1):
-        return Fraction(num, den)
+        return num if den == 1 else Fraction(num, den)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -206,6 +215,15 @@ def _check_field(field):
     if not isinstance(field, (Rationals, PrimeField)):
         raise TypeError("expected a field (QQ or a PrimeField), got %r" % (field,))
     return field
+
+
+def _inverse(c):
+    """1 / c for a nonzero coefficient: a Fraction for an int other than +-1,
+    so that int / int never makes a float.  The only coefficient division
+    outside FpElement."""
+    if type(c) is int:
+        return c if c == 1 or c == -1 else Fraction(1, c)
+    return 1 / c
 
 
 _PRIME_FIELDS = {}

@@ -220,11 +220,14 @@ class _CliqueSearch:
         becomes the best or is collected, and a node is expanded only while
         depth + bound > floor.  Each open node is one int, its candidates not
         yet tried: taking the lowest, v, drops it there, and the child's
-        candidates are the rest that meet v."""
+        candidates are the rest that meet v.  top, the root's bound, caps
+        every clique, so a maximising walk stops once the best reaches it;
+        the first maximum is already the best then, so only nodes are saved."""
         adj, bound = self.adj, self._bound
         floor = self.best_size if target is None else target - 1
         found, clique, open_nodes = [], [], []
         p = (1 << len(self.cands)) - 1
+        top = bound(p) if p else 0
         while True:
             self.nodes += 1
             if self.nodes > self.budget:
@@ -234,9 +237,11 @@ class _CliqueSearch:
                 if target is None:
                     floor = self.best_size = depth
                     self.best = list(clique)
+                    if depth >= top:
+                        return self.result()
                 else:
                     found.append(SetFamily(self.n, [self.cands[v] for v in clique]))
-            open_nodes.append(p if p and depth + bound(p) > floor else 0)
+            open_nodes.append(p if p and depth + (bound(p) if clique else top) > floor else 0)
             while open_nodes:
                 p = open_nodes[-1]
                 if p and len(clique) + p.bit_count() > floor:

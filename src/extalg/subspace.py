@@ -50,7 +50,7 @@ from .core import (
     mask_of_indices,
     sign_of_masks,
 )
-from .fields import QQ, _check_field
+from .fields import QQ, _check_field, _inverse
 from .setfamilies import SetFamily, star
 
 __all__ = [
@@ -115,7 +115,7 @@ def _echelon(dicts):
         if p is not None:
             c = d[p]
             if c != 1:
-                ic = 1 / c
+                ic = _inverse(c)
                 d = {m: ic * x for m, x in d.items()}
             rows[p] = d
     pivots = sorted(rows)

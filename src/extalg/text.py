@@ -19,8 +19,6 @@ A subspace document is a JSON object {"n": int, "field": "rational"|"gf:p",
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import GrassmannElement, _check_n, _element, indices_of_mask
 from .fields import QQ, _check_field, field_by_name
 
@@ -254,7 +252,7 @@ def print_element(x: GrassmannElement) -> str:
     first = True
     for mask in sorted(x.terms):
         c = x.terms[mask]
-        if isinstance(c, Fraction) and c < 0:
+        if x.field.characteristic == 0 and c < 0:
             sign = "-"
             mag = -c
         else:

@@ -132,8 +132,7 @@ def _from_l(ctx, ns):
 # ---------------------------------------------------------------- generators
 
 def random_element(rng, n, field=QQ, max_terms=4, coeff_bound=5, masks=None):
-    pool = masks if masks is not None else range(1 << n)
-    pool = list(pool)
+    pool = range(1 << n) if masks is None else list(masks)
     want = rng.randint(1, min(max_terms, len(pool)))
     terms = {}
     while len(terms) < want:

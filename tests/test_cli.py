@@ -176,7 +176,7 @@ def test_maxdim_certify_beyond_the_recursion_limit(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["certified"] is True and d["family_size"] == 1024
-    assert d["dim"] == 3072 and d["nodes"] == 2048
+    assert d["dim"] == 3072 and d["nodes"] == 1025
 
 
 def test_maxdim_certify_needs_a_budget_beyond_n7(capsys):

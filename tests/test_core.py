@@ -107,6 +107,15 @@ def test_coefficient_arithmetic():
     assert (3 * x).coefficient(0b01) == Fraction(3, 2)
 
 
+def test_division_makes_the_only_fractions():
+    x = 2 * generator(2, 1)
+    assert type(x.coefficient(0b01)) is int
+    half = (x / 4).coefficient(0b01)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type((x / -1).coefficient(0b01)) is int and (x / -1).coefficient(0b01) == -2
+    assert x / 2 == generator(2, 1)
+
+
 def test_floats_rejected():
     with pytest.raises(TypeError):
         monomial(2, (1,), 0.5)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from extalg.fields import QQ, FpElement, PrimeField, field_by_name
+from extalg.fields import QQ, FpElement, PrimeField, _inverse, field_by_name
 
 
 def test_rational_coerce():
@@ -17,6 +17,18 @@ def test_rational_coerce():
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         QQ.coerce(0.5)
+
+
+def test_rationals_stay_ints_until_a_division():
+    assert type(QQ.coerce(3)) is int and type(QQ.from_ratio(-4)) is int
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_ratio(3, 4)) is Fraction
+    with pytest.raises(TypeError):
+        QQ.coerce(True)
+    assert _inverse(3) == Fraction(1, 3) and type(_inverse(3)) is Fraction
+    assert _inverse(-1) == -1 and type(_inverse(-1)) is int and _inverse(1) == 1
+    assert _inverse(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert _inverse(FpElement(7, 3)) == FpElement(7, 5)
 
 
 def test_prime_field_basics():

@@ -124,6 +124,15 @@ def test_print_canonical_form():
     assert print_element(y) == "1+v{3}"
 
 
+def test_negative_int_coefficients_print_with_a_split_sign_and_parse_back():
+    x = unit(3).scale(-3) + generator(3, 1) + generator(3, 2).scale(-3) + monomial(3, (1, 3), -1)
+    assert all(type(c) is int for c in x.terms.values())
+    assert print_element(x) == "-3+v{1}-3*v{2}-v{1,3}"
+    assert parse_element(print_element(x), 3) == x
+    for text in ("-3", "-3+v{1}", "v{1}-2*v{2}", "-v{1}-5*v{1,2}"):
+        assert print_element(parse_element(text, 2)) == text
+
+
 def test_print_orders_terms_by_monomial_order():
     x = monomial(4, (1, 2, 3, 4)) + generator(4, 1) + monomial(4, (2, 3))
     s = print_element(x)
