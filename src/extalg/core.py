@@ -35,7 +35,6 @@ __all__ = [
     "Monomial",
     "GrassmannElement",
     "sign_of_masks",
-    "mul_masks",
     "compare_monomials",
     "monomial",
     "generator",
@@ -100,12 +99,6 @@ def sign_of_masks(j_mask: int, k_mask: int) -> int:
     s ^= s << 4
     s ^= s << 8
     return -1 if (j_mask & s).bit_count() & 1 else 1
-
-
-def mul_masks(j_mask: int, k_mask: int):
-    """(sign, union_mask) for a product of basis monomials; sign 0 on overlap."""
-    s = sign_of_masks(j_mask, k_mask)
-    return s, (j_mask | k_mask)
 
 
 class Monomial:
@@ -337,10 +330,13 @@ class GrassmannElement:
         return _element(self.n, self.field, {m: ic * x for m, x in self.terms.items()})
 
     def __eq__(self, other):
+        """Equal terms in the same E(n) over the same field; zero elements
+        are equal over any fields, as a zero vector mixes with any field."""
         return (
             isinstance(other, GrassmannElement)
             and other.n == self.n
             and other.terms == self.terms
+            and (not self.terms or other.field is self.field or other.field == self.field)
         )
 
     def __hash__(self):

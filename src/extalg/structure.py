@@ -232,16 +232,13 @@ class AlgebraHom:
         images = tuple(images)
         if not images:
             raise ValueError("at least one generator image is required")
-        n_target = images[0].n
-        for u in images:
-            if u.n != n_target:
-                raise ValueError("generator images live in different algebras")
-            if not u.is_odd():
-                raise ValueError("generator images must lie in the odd part")
+        n_target = getattr(images[0], "n", None)  # _field_of refuses a non-element
+        self.field = _field_of(images, n_target, field)
+        if not all(u.is_odd() for u in images):
+            raise ValueError("generator images must lie in the odd part")
         self.n_source = len(images)
         self.n_target = n_target
         self.images = images
-        self.field = _field_of(images, field)
         self._cache = {0: unit(n_target, self.field)}
 
     def _image_of_mask(self, mask):

@@ -26,10 +26,15 @@ rows afterwards.
 
 Rows are term dicts {key: coefficient} throughout this module; elements are
 built only for a Subspace's basis, and they are given the subspace's field.
-span() and Subspace() are the checked boundary: span refuses vectors from
-another algebra or field, and Subspace refuses those and any basis that is not
-in reduced echelon form.  Every subspace built inside the package goes through
-_subspace, which checks nothing, as core._element does for elements.
+span() and Subspace() are the checked boundary, and _field_of is its one rule
+for a list of vectors: each is an element of the same E(n), and each nonzero
+one lies over the one field.  span, Subspace.reduce and structure.AlgebraHom
+apply it.  Subspace(n, field, basis) takes the span of its basis and refuses
+any basis that is not that span's: the reduced echelon basis is unique, so
+this one comparison refuses a zero vector, pivots out of order, a pivot that
+is not monic and a pivot inside another vector.  Every subspace built inside
+the package goes through _subspace, which checks nothing, as core._element
+does for elements.
 _echelon consumes the dicts it is given (reduces them in place and keeps
 some as rows), so every caller passes fresh dicts; span() and Subspace.sum
 copy the terms of their input elements at the boundary.
@@ -136,13 +141,18 @@ def _kernel(pairs, top):
     return [{m - top: c for m, c in row.items()} for p, row in rows.items() if p >= top]
 
 
-def _field_of(vectors, field):
-    """field (or the first nonzero vector's, or QQ); refuses a field that is
-    not QQ or a PrimeField and a nonzero vector over another field.  A zero
-    vector mixes with any."""
+def _field_of(vectors, n, field=None):
+    """The rule for a list of vectors of E(n): field (or the first nonzero
+    vector's, or QQ).  Refuses a non-element (TypeError), a field that is not
+    QQ or a PrimeField, and a vector of another n or a nonzero vector over
+    another field (AmbientMismatch).  A zero vector mixes with any field."""
     if field is not None:
         _check_field(field)
     for v in vectors:
+        if not isinstance(v, GrassmannElement):
+            raise TypeError("expected GrassmannElement vectors, got %r" % (v,))
+        if v.n != n:
+            raise AmbientMismatch("vector from n=%d among vectors of n=%s" % (v.n, n))
         if v.terms:
             if field is None:
                 field = v.field
@@ -175,34 +185,16 @@ class Subspace:
     def __init__(self, n, field, basis):
         """basis must be a reduced echelon basis over field (see the module
         docstring).  A vector from another n or field is refused with
-        AmbientMismatch, any other basis with ValueError."""
-        _check_n(n)
+        AmbientMismatch, any other basis with ValueError: the reduced echelon
+        basis of a span is unique, so it must be the span's own."""
         basis = tuple(basis)
-        for b in basis:
-            if not isinstance(b, GrassmannElement):
-                raise TypeError("Subspace expects GrassmannElement basis vectors, got %r" % (b,))
-            if b.n != n:
-                raise AmbientMismatch("basis vector from n=%d in a subspace of n=%d" % (b.n, n))
-        _field_of(basis, _check_field(field))
-        pivots = {}
-        last = -1
-        for b in basis:
-            if not b.terms:
-                raise ValueError("a basis holds no zero vector")
-            p = min(b.terms)
-            if p <= last:
-                raise ValueError("basis pivots must strictly increase, %r follows a pivot >= its own" % (b,))
-            if b.terms[p] != field.one:
-                raise ValueError("basis vector %r is not monic on its pivot" % (b,))
-            pivots[p] = b.terms
-            last = p
-        for b in basis:
-            if len(pivots.keys() & b.terms.keys()) > 1:
-                raise ValueError("basis vector %r holds another vector's pivot" % (b,))
+        s = span(basis, n, _check_field(field))
+        if s.basis != basis:
+            raise ValueError("basis is not the reduced echelon basis of its span over %s" % field.name)
         self.n = n
         self.field = field
-        self.basis = basis
-        self._pivots = pivots
+        self.basis = s.basis
+        self._pivots = s._pivots
 
     @property
     def dim(self) -> int:
@@ -216,9 +208,7 @@ class Subspace:
 
     def reduce(self, x: GrassmannElement) -> GrassmannElement:
         """Residue of x modulo this subspace (zero iff x belongs to it)."""
-        if x.n != self.n:
-            raise AmbientMismatch("element from n=%d reduced in n=%d" % (x.n, self.n))
-        _field_of((x,), self.field)
+        _field_of((x,), self.n, self.field)
         d = dict(x.terms)
         _reduce(d, self._pivots)
         return _element(self.n, self.field, d)
@@ -270,17 +260,16 @@ class Subspace:
 
 
 def span(vectors, n=None, field=None) -> Subspace:
+    """The subspace of E(n) over field spanned by vectors; n defaults to the
+    first vector's, field as in _field_of."""
     vectors = list(vectors)
-    for v in vectors:
-        if not isinstance(v, GrassmannElement):
-            raise TypeError("span expects GrassmannElement vectors, got %r" % (v,))
-        if n is None:
-            n = v.n
-        elif v.n != n:
-            raise AmbientMismatch("vector from n=%d in span over n=%d" % (v.n, n))
     if n is None:
-        raise ValueError("span of no vectors needs an explicit n")
-    return _space(n, _field_of(vectors, field), [dict(v.terms) for v in vectors])
+        if not vectors:
+            raise ValueError("span of no vectors needs an explicit n")
+        n = getattr(vectors[0], "n", None)  # _field_of refuses a non-element
+    field = _field_of(vectors, n, field)
+    _check_n(n)
+    return _space(n, field, [dict(v.terms) for v in vectors])
 
 
 def zero_space(n: int, field=QQ) -> Subspace:
@@ -469,8 +458,6 @@ def min_degree_space(a: Subspace) -> Subspace:
 def skew_form(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """Pairing of odd elements: the top-degree component of a*b for even n,
     the degree n-1 component for odd n.  Skew-symmetric either way."""
-    if a.n != b.n:
-        raise AmbientMismatch("elements from n=%d and n=%d" % (a.n, b.n))
     if not a.is_odd() or not b.is_odd():
         raise ValueError("the pairing is defined on odd elements only")
     p = a * b

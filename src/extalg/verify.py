@@ -271,10 +271,11 @@ def check_order_total(ctx):
 
 def check_initial_product(ctx):
     rng = ctx.rng("initial-product")
+    ns = _ns(ctx, 2, 6)
     pairs = 0
     used = 0
     while pairs < 10000:
-        n = rng.randint(2, min(6, ctx.upto_n))
+        n = rng.randint(ns[0], ns[-1])
         x = random_element(rng, n)
         y = random_element(rng, n)
         pairs += 1
@@ -826,9 +827,10 @@ def check_radical_n6(ctx):
 
 def check_family_bridge(ctx):
     rng = ctx.rng("bridge")
+    ns = _ns(ctx, 2, 6)
     agree = 0
     for _ in range(500):
-        n = rng.randint(2, min(6, ctx.upto_n))
+        n = rng.randint(ns[0], ns[-1])
         odd = all_odd_masks(n)
         k = rng.randint(1, min(8, len(odd)))
         fam = SetFamily(n, [odd[rng.randrange(len(odd))] for _ in range(k)])
@@ -907,8 +909,9 @@ def check_documents(ctx):
 def check_prime_field_lane(ctx):
     rng = ctx.rng("gf")
     f5 = PrimeField(5)
+    ns = _ns(ctx, 2, 5)
     for _ in range(30):
-        n = rng.randint(2, min(5, ctx.upto_n))
+        n = rng.randint(ns[0], ns[-1])
         d = random_subspace(rng, n, max_dim=4, field=f5)
         m = monomialize(d)
         if m.dim != d.dim or not m.is_monomial() or m != initial_span(d):

@@ -207,6 +207,15 @@ def test_verify_paper_small(capsys):
     assert " 0 failed" in lines[-1]
 
 
+def test_verify_paper_runs_at_upto_n_1(capsys):
+    """The anchors that draw a random n in 2.. skip below n = 2."""
+    code, out, _ = run(capsys, "verify-paper", "--upto-n", "1", "--json")
+    report = json.loads(out)
+    assert code == 0 and not [r for r in report if r["status"] == "fail"]
+    skipped = {r["anchor"] for r in report if r["status"] == "skip"}
+    assert {"initial-product-condition", "odd-family-bridge", "prime-field-lane"} <= skipped
+
+
 def test_verify_paper_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify-paper", "--upto-n", "3", "--json")
     code2, out2, _ = run(capsys, "verify-paper", "--upto-n", "3", "--json")

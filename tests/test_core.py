@@ -222,6 +222,17 @@ def test_element_equality_and_hash():
     assert len({x, y}) == 1
 
 
+def test_element_equality_respects_the_field_except_at_zero():
+    f = PrimeField(5)
+    x, y = generator(2, 1, f), generator(2, 1)
+    assert x != y and y != x  # x + y raises AmbientMismatch, so they are not equal
+    with pytest.raises(AmbientMismatch):
+        x + y
+    assert x == generator(2, 1, PrimeField(5))
+    assert zero(2) == x.scale(0) and x.scale(0) == zero(2) and hash(zero(2)) == hash(x.scale(0))
+    assert x.scale(0) != zero(3)
+
+
 def test_prime_field_elements():
     f = PrimeField(5)
     x = monomial(3, (1,), 2, field=f) + monomial(3, (2, 3), 4, field=f)

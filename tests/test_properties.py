@@ -10,10 +10,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from extalg.core import GrassmannElement  # noqa: E402
+from extalg.core import GrassmannElement, zero  # noqa: E402
 from extalg.fields import QQ, PrimeField  # noqa: E402
 from extalg.setfamilies import SearchBudgetExceeded, _CliqueSearch  # noqa: E402
-from extalg.subspace import min_degree_space, perp, product_span, span, split_generator  # noqa: E402
+from extalg.subspace import Subspace, min_degree_space, perp, product_span, span, split_generator  # noqa: E402
 from extalg.verify import random_element, random_subspace  # noqa: E402
 from test_subspace import product_span_all_pairs  # noqa: E402
 
@@ -142,3 +142,42 @@ def test_root_bound_exit_keeps_the_family_and_no_partial_overshoots(case):
     assert (got.size, got.family) == (ref.size, ref.family)
     assert got.nodes <= ref.nodes and ran_out <= ref_ran_out
     assert got.size <= top.size and (ran_out or got.size == top.size)
+
+
+def mutated_bases(rng, s):
+    """s's basis after each of four edits at random positions: a zero vector
+    inserted, a vector scaled by 2, one vector added to another and two
+    vectors swapped.  The scaling needs one vector, the sum and the swap two."""
+    b = list(s.basis)
+    i = rng.randint(0, len(b))
+    yield "zero", b[:i] + [zero(s.n)] + b[i:]
+    if not b:
+        return
+    i, j = rng.sample(range(len(b)), 2) if len(b) > 1 else (0, 0)
+    yield "scale", b[:i] + [b[i].scale(2)] + b[i + 1:]
+    if len(b) > 1:
+        yield "add", b[:i] + [b[i] + b[j]] + b[i + 1:]
+        swapped = list(b)
+        swapped[i], swapped[j] = b[j], b[i]
+        yield "swap", swapped
+
+
+@st.composite
+def drawn_subspaces(draw):
+    n = draw(st.integers(1, 6))
+    field = draw(st.sampled_from([QQ, PrimeField(3)]))
+    return random_subspace(random.Random(draw(st.integers(0, 2**32 - 1))), n, field=field)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(drawn_subspaces(), st.integers(0, 2**32 - 1))
+def test_subspace_constructor_accepts_exactly_the_reduced_echelon_basis(s, seed):
+    """Subspace(n, field, basis) takes a span's own basis back, and refuses
+    each edit of it with ValueError exactly when the edit changes the basis."""
+    assert Subspace(s.n, s.field, s.basis) == s
+    for name, basis in mutated_bases(random.Random(seed), s):
+        if tuple(basis) == s.basis:
+            assert Subspace(s.n, s.field, basis) == s, name
+        else:
+            with pytest.raises(ValueError):
+                Subspace(s.n, s.field, basis)

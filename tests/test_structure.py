@@ -236,6 +236,11 @@ def test_hom_validation():
         hom_from_images([elem("1", 2)])
     with pytest.raises(ValueError):
         hom_from_images([])
+    with pytest.raises(AmbientMismatch):
+        hom_from_images([elem("v{1}", 2), elem("v{1}", 3)])
+    for bad in ([3], [elem("v{1}", 2), "v{2}"]):
+        with pytest.raises(TypeError):
+            hom_from_images(bad)
 
 
 def test_hom_is_multiplicative():

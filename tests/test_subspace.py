@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from extalg.core import AmbientMismatch, GrassmannElement, generator, monomial, unit, zero
+from extalg.core import AmbientMismatch, GrassmannElement, Monomial, generator, monomial, unit, zero
 from extalg.fields import QQ, PrimeField, field_of
 from extalg.setfamilies import SetFamily, odd_upper_levels
 from extalg.structure import canonical_max_commutative
@@ -377,6 +377,20 @@ def test_split_generator_brute_force_oracle_gf3():
             assert e - e.substitute_zero(i) in ker
 
 
+def test_span_checks_an_explicit_n():
+    for bad in (True, 0, 17, 2.0, -1):
+        with pytest.raises(ValueError):
+            span([], n=bad)
+        with pytest.raises(ValueError):
+            span([], n=bad, field=PrimeField(3))
+    with pytest.raises(AmbientMismatch):
+        span([generator(2, 1)], n=3)
+    for bad in ([3], [generator(2, 1), "v{1}"], [Monomial(2, 1)]):
+        with pytest.raises(TypeError):
+            span(bad)
+    assert span([], n=16).n == 16 and span([zero(2)], n=2).is_zero()
+
+
 def test_span_refuses_coefficients_outside_its_field():
     with pytest.raises(AmbientMismatch):
         span([elem("v{1}+v{2}", 2)], field=PrimeField(5))
@@ -400,6 +414,10 @@ def test_reduce_refuses_elements_over_another_field():
         s.reduce(generator(2, 1, PrimeField(3)))
     with pytest.raises(AmbientMismatch):
         span([generator(2, 1)]).contains(generator(2, 2, f))
+    with pytest.raises(AmbientMismatch):
+        s.reduce(generator(3, 1, f))
+    with pytest.raises(TypeError):
+        s.reduce(3)
     assert s.reduce(zero(2)).is_zero() and span([generator(2, 1)]).contains(zero(2))
     assert s.contains(generator(2, 1, f).scale(3)) and not s.contains(generator(2, 2, f))
 
