@@ -250,8 +250,8 @@ class AlgebraHom:
         return hit
 
     def apply(self, x: GrassmannElement) -> GrassmannElement:
-        if x.n != self.n_source:
-            raise ValueError("element from n=%d fed to a map on n=%d" % (x.n, self.n_source))
+        """Image of an element of E(n_source) over the map's field."""
+        _field_of((x,), self.n_source, self.field)
         acc = zero(self.n_target)
         for mask, c in x.terms.items():
             acc = acc + self._image_of_mask(mask).scale(c)

@@ -12,11 +12,16 @@ s_i substitutes 0 for generator i.  Composing the n splits monomializes
 any subspace; the resulting monomial supports depend on the order in
 which the generators are processed.
 
-Kernels (of a split, of the pairing, and the intersection of two spaces)
-all come from one routine: the map's (image, source) pairs are stacked with
-the source keys shifted above every image key, one echelon of the stack is
+A split is one echelon of D's basis on lifted keys: every mask holding the
+generator is moved above 2^n, so the rows pivoted there span the kernel and
+the other rows, cut below 2^n, span the image.  The two sets of rows share
+no key and are already reduced echelon together, so no second echelon runs.
+The kernels of the pairing and of the intersection of two spaces come from
+one routine, _kernel: the map's (image, source) pairs are stacked with the
+source keys shifted above every image key, one echelon of the stack is
 taken, and the source parts of the rows with a zero image part span the
-kernel.
+kernel.  Those rows are reduced echelon as they come, so perp and intersect
+use them without a second echelon.
 
 product_span follows two rules for the products of one-term vectors, which
 are all a monomial algebra has: their unions come from shifted ANDs over a
@@ -28,11 +33,12 @@ Rows are term dicts {key: coefficient} throughout this module; elements are
 built only for a Subspace's basis, and they are given the subspace's field.
 span() and Subspace() are the checked boundary, and _field_of is its one rule
 for a list of vectors: each is an element of the same E(n), and each nonzero
-one lies over the one field.  span, Subspace.reduce and structure.AlgebraHom
-apply it.  Subspace(n, field, basis) takes the span of its basis and refuses
-any basis that is not that span's: the reduced echelon basis is unique, so
-this one comparison refuses a zero vector, pivots out of order, a pivot that
-is not monic and a pivot inside another vector.  Every subspace built inside
+one lies over the one field.  span, Subspace.reduce, skew_form and
+structure.AlgebraHom (its images and apply's argument) apply it.
+Subspace(n, field, basis) takes the span of its basis and refuses any basis
+that is not that span's: the reduced echelon basis is unique, so this one
+comparison refuses a zero vector, pivots out of order, a pivot that is not
+monic and a pivot inside another vector.  Every subspace built inside
 the package goes through _subspace, which checks nothing, as core._element
 does for elements.
 _echelon consumes the dicts it is given (reduces them in place and keeps
@@ -135,10 +141,12 @@ def _echelon(dicts):
 
 
 def _kernel(pairs, top):
-    """Source parts spanning the kernel of source -> image.  Image keys lie
-    below top, so the rows with pivot >= top have a zero image part."""
+    """{pivot: row} of source parts spanning the kernel of source -> image.
+    Image keys lie below top, so the rows with pivot >= top have a zero image
+    part; every key of such a row is >= top, so lowered by top they are
+    reduced echelon rows of their own."""
     rows = _echelon({**img, **{top + m: c for m, c in src.items()}} for img, src in pairs)
-    return [{m - top: c for m, c in row.items()} for p, row in rows.items() if p >= top]
+    return {p - top: {m - top: c for m, c in row.items()} for p, row in rows.items() if p >= top}
 
 
 def _field_of(vectors, n, field=None):
@@ -163,7 +171,11 @@ def _field_of(vectors, n, field=None):
 
 def _space(n, field, dicts) -> "Subspace":
     """The Subspace over field spanned by term dicts."""
-    rows = _echelon(dicts)
+    return _from_rows(n, field, _echelon(dicts))
+
+
+def _from_rows(n, field, rows) -> "Subspace":
+    """The Subspace over field on reduced echelon rows {pivot: row}."""
     return _subspace(n, field, [_element(n, field, rows[p]) for p in sorted(rows)])
 
 
@@ -226,7 +238,7 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         pairs = [(a.terms, a.terms) for a in self.basis] + [(b.terms, {}) for b in other.basis]
-        return _space(self.n, self.field, _kernel(pairs, 1 << self.n))
+        return _from_rows(self.n, self.field, _kernel(pairs, 1 << self.n))
 
     def _check_compatible(self, other):
         if not isinstance(other, Subspace):
@@ -391,18 +403,21 @@ def product_span(a: Subspace, b: Subspace) -> Subspace:
     rows = _echelon(products)
     for u in unions:
         rows[u] = {u: field.one}
-    return _subspace(n, field, [_element(n, field, rows[p]) for p in sorted(rows)])
+    return _from_rows(n, field, rows)
 
 
 def split_generator(d: Subspace, i: int) -> Subspace:
     """ker(s_i|_D) + im(s_i|_D) for the substitution s_i killing generator i.
 
-    The two pieces meet trivially (kernel terms all contain i, image terms
-    never do), so the dimension is preserved; that is asserted."""
+    One echelon of D's basis with the masks holding i lifted above 2^n; each
+    row keeps the keys on its pivot's side of 2^n, lowered below it.  The rows
+    pivoted above 2^n span the kernel and the others the image; they share no
+    key, so no second echelon runs.  The dimension is kept; that is asserted."""
+    top = 1 << d.n
     bit = 1 << (_check_int(i, "generator index", 1, d.n) - 1)
-    imgs = [{m: c for m, c in b.terms.items() if not m & bit} for b in d.basis]
-    ker = _kernel([(im, b.terms) for im, b in zip(imgs, d.basis)], 1 << d.n)
-    out = _space(d.n, d.field, ker + [im for im in imgs if im])
+    rows = _echelon({m | top if m & bit else m: c for m, c in b.terms.items()} for b in d.basis)
+    cut = {p % top: {m % top: c for m, c in row.items() if (m < top) == (p < top)} for p, row in rows.items()}
+    out = _from_rows(d.n, d.field, cut)
     if out.dim != d.dim:
         raise AssertionError("generator split changed dimension (%d -> %d)" % (d.dim, out.dim))
     return out
@@ -458,6 +473,7 @@ def min_degree_space(a: Subspace) -> Subspace:
 def skew_form(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """Pairing of odd elements: the top-degree component of a*b for even n,
     the degree n-1 component for odd n.  Skew-symmetric either way."""
+    _field_of((a, b), getattr(a, "n", None))  # refuses a non-element
     if not a.is_odd() or not b.is_odd():
         raise ValueError("the pairing is defined on odd elements only")
     p = a * b
@@ -482,7 +498,7 @@ def perp(d: Subspace) -> Subspace:
             for miss in (0,) if n % 2 == 0 else [1 << i for i in range(n) if rest >> i & 1]:
                 j = rest ^ miss
                 cols[j][(k << n) | (full ^ miss)] = c if sign_of_masks(j, s) > 0 else -c
-    return _space(n, d.field, _kernel([(col, {j: d.field.one}) for j, col in cols.items()], d.dim << n))
+    return _from_rows(n, d.field, _kernel([(col, {j: d.field.one}) for j, col in cols.items()], d.dim << n))
 
 
 def hilbert_series(a: Subspace) -> tuple:

@@ -15,8 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import GrassmannElement, _check_int, monomial, unit, zero
-from .fields import QQ, PrimeField
+from .core import GrassmannElement, _check_int, _check_n, _element, monomial, unit, zero
+from .fields import QQ, PrimeField, _check_field
 from .setfamilies import (
     SetFamily,
     all_odd_masks,
@@ -132,18 +132,52 @@ def _from_l(ctx, ns):
 # ---------------------------------------------------------------- generators
 
 def random_element(rng, n, field=QQ, max_terms=4, coeff_bound=5, masks=None):
-    pool = range(1 << n) if masks is None else list(masks)
-    want = rng.randint(1, min(max_terms, len(pool)))
+    """A seeded element of E(n) over field: 1 to max_terms distinct masks
+    from masks (every mask by default), each with a nonzero integer
+    coefficient in -coeff_bound..coeff_bound.
+
+    For a random.Random the stream is that of randint(1, min(max_terms,
+    len(pool))), then per term pool[randrange(len(pool))] (redrawn on a
+    repeated mask) and randint(-coeff_bound, coeff_bound) (redrawn on 0).
+    Every draw below k is made as CPython 3.10-3.13 make it:
+    getrandbits(k.bit_length()), redrawn while it is >= k.  A coefficient
+    that field.coerce sends to 0 still counts as a term, and is dropped."""
+    _check_n(n)
+    _check_field(field)
+    if masks is None:
+        pool = range(1 << n)
+    else:
+        pool = [_check_int(m, "mask", 0, (1 << n) - 1) for m in masks]
+        if len(set(pool)) != len(pool):
+            raise ValueError("random_element draws distinct masks, and masks repeats one")
+    size = len(pool)
+    k = min(max_terms, size)
+    if k < 1 or coeff_bound < 1:
+        raise ValueError("random_element needs a mask, max_terms >= 1 and coeff_bound >= 1")
+    getrandbits = rng.getrandbits
+    bits = k.bit_length()
+    want = getrandbits(bits)  # one less than the number of terms
+    while want >= k:
+        want = getrandbits(bits)
+    size_bits = size.bit_length()
+    width = 2 * coeff_bound + 1
+    width_bits = width.bit_length()
+    coerce = field.coerce
     terms = {}
-    while len(terms) < want:
-        m = pool[rng.randrange(len(pool))]
+    while len(terms) <= want:
+        m = getrandbits(size_bits)
+        if m >= size:
+            continue
+        m = pool[m]
         if m in terms:
             continue
-        c = 0
-        while c == 0:
-            c = rng.randint(-coeff_bound, coeff_bound)
-        terms[m] = field.coerce(c)
-    return GrassmannElement(n, terms)
+        c = getrandbits(width_bits)
+        while c >= width or c == coeff_bound:
+            c = getrandbits(width_bits)
+        terms[m] = coerce(c - coeff_bound)
+    if not all(terms.values()):
+        terms = {m: c for m, c in terms.items() if c}
+    return _element(n, field, terms)
 
 
 def random_subspace(rng, n, max_dim=6, field=QQ, masks=None):
@@ -279,11 +313,11 @@ def check_initial_product(ctx):
         x = random_element(rng, n)
         y = random_element(rng, n)
         pairs += 1
-        mx, my = x.initial_monomial(), y.initial_monomial()
-        if mx.mask & my.mask:
+        tx, ty = x.initial_term(), y.initial_term()
+        if min(tx.terms) & min(ty.terms):
             continue
         used += 1
-        if (x * y).initial_term() != x.initial_term() * y.initial_term():
+        if (x * y).initial_term() != tx * ty:
             raise CheckFailure(
                 "initial term of product differs for %s and %s" % (print_element(x), print_element(y))
             )

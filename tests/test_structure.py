@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from extalg.core import AmbientMismatch, generator, monomial, unit, zero
+from extalg.core import AmbientMismatch, Monomial, generator, monomial, unit, zero
 from extalg.fields import QQ, PrimeField
 from extalg.setfamilies import SetFamily, max_odd_intersecting, odd_upper_levels
 from extalg.structure import (
@@ -241,6 +241,22 @@ def test_hom_validation():
     for bad in ([3], [elem("v{1}", 2), "v{2}"]):
         with pytest.raises(TypeError):
             hom_from_images(bad)
+
+
+def test_hom_apply_refuses_what_is_not_an_element_of_its_source():
+    f = PrimeField(5)
+    h = hom_from_images([generator(2, 1), generator(2, 2)])
+    for bad in (3, "v{1}", Monomial(2, 1)):
+        with pytest.raises(TypeError):
+            h.apply(bad)
+    with pytest.raises(AmbientMismatch):
+        h.apply(generator(3, 1))
+    with pytest.raises(AmbientMismatch):
+        h.apply(generator(2, 1, f))
+    with pytest.raises(AmbientMismatch):
+        hom_from_images([generator(2, 1, f)]).apply(generator(1, 1))
+    # a zero element lies over every field
+    assert h.apply(zero(2)).is_zero() and hom_from_images([generator(2, 1, f)]).apply(zero(1)).is_zero()
 
 
 def test_hom_is_multiplicative():

@@ -266,6 +266,16 @@ def test_skew_form_values():
         skew_form(x, y)
 
 
+def test_skew_form_refuses_what_is_not_an_element():
+    for a, b in ((generator(2, 1), 3), (3, generator(2, 1)), (generator(2, 1), "v{2}")):
+        with pytest.raises(TypeError):
+            skew_form(a, b)
+    with pytest.raises(AmbientMismatch):
+        skew_form(generator(2, 1), generator(3, 1))
+    with pytest.raises(AmbientMismatch):
+        skew_form(generator(2, 1), generator(2, 2, PrimeField(5)))
+
+
 def test_skew_form_grade_by_parity():
     # even ambient: the pairing lands in the top grade
     s = skew_form(elem("v{1}", 4), elem("v{2,3,4}", 4))
@@ -438,7 +448,7 @@ def perp_by_skew_form(d):
                 for t, c in skew_form(GrassmannElement(n, {j: one}), b).terms.items():
                     col[(k << n) | t] = c
             pairs.append((col, {j: one}))
-    return span([GrassmannElement(n, t) for t in _kernel(pairs, d.dim << n)], n=n, field=d.field)
+    return span([GrassmannElement(n, t) for t in _kernel(pairs, d.dim << n).values()], n=n, field=d.field)
 
 
 def min_degree_by_forward_echelon(a):
@@ -746,3 +756,81 @@ def test_every_result_carries_its_operands_field(field):
                     assert_over(v, field)
             assert_over(a.reduce(x), field)
             assert_over(a.reduce(z), field)
+
+
+# split_generator takes one echelon on lifted keys, and intersect and perp use
+# the kernel rows as they come; these are the routes with a second echelon.
+
+def split_by_two_echelons(d, i):
+    """ker(s_i|d) from the stacked (image, source) rows, then one more
+    echelon of the kernel and the images."""
+    from extalg.subspace import _kernel, _space
+
+    bit = 1 << (i - 1)
+    imgs = [{m: c for m, c in b.terms.items() if not m & bit} for b in d.basis]
+    ker = _kernel([(im, b.terms) for im, b in zip(imgs, d.basis)], 1 << d.n)
+    return _space(d.n, d.field, list(ker.values()) + [im for im in imgs if im])
+
+
+def re_echelon(s):
+    from extalg.subspace import _space
+
+    return _space(s.n, s.field, [dict(b.terms) for b in s.basis])
+
+
+def assert_same_basis(s, t):
+    assert s.n == t.n and s.field == t.field
+    assert s.basis == t.basis
+    assert [print_element(b) for b in s.basis] == [print_element(b) for b in t.basis]
+
+
+def differential_spaces(rng, n, field):
+    """zero, full, monomial and seeded random subspaces of E(n) over field."""
+    from extalg.verify import random_element, random_subspace
+
+    masks = range(1 << n)
+    spaces = [zero_space(n, field), full_space(n, field), even_space(n, field), grade_space(n, n // 2, field)]
+    spaces += [monomial_space(n, rng.sample(masks, rng.randint(1, min(8, 1 << n))), field) for _ in range(3)]
+    spaces += [random_subspace(rng, n, max_dim=min(10, 1 << n), field=field) for _ in range(4)]
+    dense = [random_element(rng, n, field=field, max_terms=1 << n) for _ in range(rng.randint(1, 6))]
+    return spaces + [span(dense, n=n, field=field)]
+
+
+DIFFERENTIAL_FIELDS = [QQ, PrimeField(3), PrimeField(10007)]
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=["QQ", "GF3", "GF10007"])
+def test_split_generator_matches_the_two_echelon_route(field):
+    from extalg.verify import random_element
+
+    rng = random.Random(131)
+    for n in range(1, 8):
+        spaces = differential_spaces(rng, n, field)
+        # the inputs hold sums, with and without terms on every index
+        assert n < 2 or any(len(b.terms) > 1 for d in spaces for b in d.basis)
+        for d in spaces:
+            for i in range(1, n + 1):
+                assert_same_basis(split_generator(d, i), split_by_two_echelons(d, i))
+        # D with a kernel and an image on generator 1: x * v_1 and x with v_1 substituted
+        x = random_element(rng, n, field=field, max_terms=1 << n)
+        d = span([x * generator(n, 1, field), x.substitute_zero(1)], n=n, field=field)
+        assert_same_basis(split_generator(d, 1), split_by_two_echelons(d, 1))
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=["QQ", "GF3", "GF10007"])
+def test_intersect_and_perp_rows_need_no_second_echelon(field):
+    from extalg.verify import random_subspace
+
+    rng = random.Random(137)
+    for n in range(1, 8):
+        spaces = differential_spaces(rng, n, field)
+        for a, b in zip(spaces, spaces[1:] + spaces[:1]):
+            s = a.intersect(b)
+            assert_same_basis(s, re_echelon(s))
+            assert s.dim == a.dim + b.dim - a.sum(b).dim
+        odd_masks = [m for m in range(1 << n) if m.bit_count() & 1]
+        odd = [zero_space(n, field), odd_space(n, field)]
+        odd += [random_subspace(rng, n, max_dim=6, field=field, masks=odd_masks) for _ in range(4)]
+        for d in odd:
+            p = perp(d)
+            assert_same_basis(p, re_echelon(p))
