@@ -170,14 +170,13 @@ def compare_monomials(a: Monomial, b: Monomial) -> int:
     return 1 if len(ka) < len(kb) else -1
 
 
-def _scalar(c, x):
-    """c as a scalar of x's field: an int acts on every field, any other
-    scalar must lie in that field (the zero element takes any)."""
+def _scalar(c, field, terms=True):
+    """c as a scalar of field: an int acts on every field, any other scalar
+    must lie in field.  An element with no terms takes any scalar."""
     if type(c) is int:
-        return x.field.coerce(c)
-    f = field_of(c)
-    if x.terms and f is not x.field and f != x.field:
-        raise AmbientMismatch("scalar %r outside the field %s" % (c, x.field.name))
+        return field.coerce(c)
+    if terms and field_of(c) is not field:
+        raise AmbientMismatch("scalar %r outside the field %s" % (c, field.name))
     return c
 
 
@@ -271,7 +270,7 @@ class GrassmannElement:
             raise AmbientMismatch("elements from n=%d and n=%d" % (self.n, other.n))
         if not self.terms:
             return other.field
-        if other.terms and other.field is not self.field and other.field != self.field:
+        if other.terms and other.field is not self.field:
             raise AmbientMismatch("elements over different fields: %s and %s" % (self.field.name, other.field.name))
         return self.field
 
@@ -301,7 +300,7 @@ class GrassmannElement:
         return self.__add__(-other)
 
     def scale(self, c):
-        c = _scalar(c, self)
+        c = _scalar(c, self.field, self.terms)
         if not c:
             return _element(self.n, self.field, {})
         return _element(self.n, self.field, {m: c * x for m, x in self.terms.items()})
@@ -323,7 +322,7 @@ class GrassmannElement:
             return NotImplemented
 
     def __truediv__(self, c):
-        c = _scalar(c, self)
+        c = _scalar(c, self.field, self.terms)
         if not c:
             raise ZeroDivisionError("division of an element by zero")
         ic = _inverse(c)
@@ -336,7 +335,7 @@ class GrassmannElement:
             isinstance(other, GrassmannElement)
             and other.n == self.n
             and other.terms == self.terms
-            and (not self.terms or other.field is self.field or other.field == self.field)
+            and (not self.terms or other.field is self.field)
         )
 
     def __hash__(self):
@@ -401,7 +400,8 @@ class GrassmannElement:
 
 
 def monomial(n: int, indices, coeff=1, field=QQ):
-    """coeff * v_{indices}; unordered indices pick up the permutation sign."""
+    """coeff * v_{indices}, coeff taken by the rule of scale; unordered
+    indices pick up the permutation sign."""
     _check_n(n)
     seen = 0
     inv = 0
@@ -411,7 +411,7 @@ def monomial(n: int, indices, coeff=1, field=QQ):
             raise ValueError("generator index %d repeated" % i)
         inv += (seen >> i).bit_count()  # earlier indices above i
         seen |= bit
-    c = _check_field(field).coerce(coeff)
+    c = _scalar(coeff, _check_field(field))
     if inv & 1:
         c = -c
     return _element(n, field, {seen: c} if c else {})

@@ -7,10 +7,11 @@ place a coefficient is inverted is _inverse (FpElement divides on its own).
 Ints and Fractions go through the same operators, and equal values compare
 and hash alike, so which of the two holds a value never changes a result.
 Field descriptors (Rationals, PrimeField) carry the conversion and parsing
-logic; arithmetic lives on the scalars themselves.  Every element records
-its field descriptor, and field_of is the one place a field is read off a
-single scalar.  Characteristic 2 is rejected everywhere, the algebra this
-package computes in needs 2 to be invertible.
+logic; arithmetic lives on the scalars themselves.  There is one descriptor
+per field (Rationals() is QQ, PrimeField(p) is PrimeField(p), through pickle
+and copy too), so fields compare by identity.  Every element records its
+field, and field_of is the one place a field is read off a single scalar.
+Characteristic 2 is rejected everywhere, 2 must be invertible here.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ __all__ = ["QQ", "Rationals", "PrimeField", "FpElement", "field_by_name", "field
 
 class Rationals:
     """Descriptor for the rational field: coefficients are ints while they
-    are integral, Fractions once a division makes one."""
+    are integral, Fractions once a division makes one.  Rationals() is QQ."""
 
     name = "rational"
     characteristic = 0
     zero = 0
     one = 1
+
+    def __new__(cls):
+        return QQ
 
     def coerce(self, value):
         # the exact type test first: isinstance(value, Fraction) is an ABC check
@@ -42,17 +46,14 @@ class Rationals:
     def from_ratio(self, num: int, den: int = 1):
         return num if den == 1 else Fraction(num, den)
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("rational")
+    def __reduce__(self):
+        return (Rationals, ())
 
     def __repr__(self):
         return "QQ"
 
 
-QQ = Rationals()
+QQ = object.__new__(Rationals)
 
 
 def _is_prime(p: int) -> bool:
@@ -154,19 +155,22 @@ class FpElement:
 
 
 class PrimeField:
-    """Descriptor for GF(p), p an odd prime (p = 2 is rejected)."""
+    """Descriptor for GF(p), p an odd prime (p = 2 is rejected); one per p."""
 
-    characteristic: int
+    _by_p = {}
 
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError("field order must be a prime number, got %r" % (p,))
-        if p == 2:
-            raise ValueError("characteristic 2 is not supported (2 must be invertible)")
-        self.p = p
-        self.characteristic = p
-        self.zero = FpElement(p, 0)
-        self.one = FpElement(p, 1)
+    def __new__(cls, p: int):
+        field = cls._by_p.get(p) if type(p) is int else None
+        if field is None:
+            if type(p) is not int or not _is_prime(p):
+                raise ValueError("field order must be a prime number, got %r" % (p,))
+            if p == 2:
+                raise ValueError("characteristic 2 is not supported (2 must be invertible)")
+            field = cls._by_p[p] = object.__new__(cls)
+            field.p = field.characteristic = p
+            field.zero = FpElement(p, 0)
+            field.one = FpElement(p, 1)
+        return field
 
     @property
     def name(self) -> str:
@@ -188,11 +192,8 @@ class PrimeField:
             raise ZeroDivisionError("denominator %d vanishes in GF(%d)" % (den, self.p))
         return FpElement(self.p, num * pow(den % self.p, -1, self.p))
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("gf", self.p))
+    def __reduce__(self):
+        return (PrimeField, (self.p,))
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p
@@ -200,6 +201,8 @@ class PrimeField:
 
 def field_by_name(name: str):
     """Parse a field tag: "rational" or "gf:p" with p an odd prime."""
+    if not isinstance(name, str):
+        raise ValueError("field tag must be a string, got %r" % (name,))
     if name == "rational":
         return QQ
     if name.startswith("gf:"):
@@ -226,9 +229,6 @@ def _inverse(c):
     return 1 / c
 
 
-_PRIME_FIELDS = {}
-
-
 def field_of(c):
     """The field of one coefficient: QQ for a Fraction or an int (never a
     bool), GF(p) for an FpElement.  There is one descriptor per p, so the
@@ -237,10 +237,7 @@ def field_of(c):
     if t is Fraction or t is int or isinstance(c, Fraction):
         return QQ
     if t is FpElement:
-        f = _PRIME_FIELDS.get(c.p)
-        if f is None:
-            f = _PRIME_FIELDS[c.p] = PrimeField(c.p)
-        return f
+        return PrimeField(c.p)
     if isinstance(c, float):
         raise TypeError("floating point coefficients are not allowed; use Fraction")
     raise TypeError("unsupported coefficient %r" % (c,))

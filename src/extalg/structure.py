@@ -27,8 +27,8 @@ from .setfamilies import odd_upper_levels, star
 from .subspace import (
     Subspace,
     _field_of,
+    _from_rows,
     _space,
-    _subspace,
     even_space,
     hilbert_series,
     monomial_space,
@@ -277,8 +277,7 @@ def graded_radical(a: Subspace) -> Subspace:
         raise ValueError("the radical shortcut needs a unital subalgebra")
     if not a.is_graded():
         raise ValueError("the radical shortcut needs a graded subalgebra")
-    pos = [b for b in a.basis if b.min_degree() > 0]
-    return _subspace(a.n, a.field, pos)
+    return _from_rows(a.n, a.field, {p: r for p, r in a._pivots.items() if p})
 
 
 def radical_quotient_dim(a: Subspace) -> int:

@@ -14,8 +14,8 @@ which the generators are processed.
 
 A split is one echelon of D's basis on lifted keys: every mask holding the
 generator is moved above 2^n, so the rows pivoted there span the kernel and
-the other rows, cut below 2^n, span the image.  The two sets of rows share
-no key and are already reduced echelon together, so no second echelon runs.
+the other rows, cut below 2^n, span the image.  min_degree_space lifts by
+degree; both cut rows to their pivot's block (_from_blocks), no second echelon.
 The kernels of the pairing and of the intersection of two spaces come from
 one routine, _kernel: the map's (image, source) pairs are stacked with the
 source keys shifted above every image key, one echelon of the stack is
@@ -39,8 +39,8 @@ Subspace(n, field, basis) takes the span of its basis and refuses any basis
 that is not that span's: the reduced echelon basis is unique, so this one
 comparison refuses a zero vector, pivots out of order, a pivot that is not
 monic and a pivot inside another vector.  Every subspace built inside
-the package goes through _subspace, which checks nothing, as core._element
-does for elements.
+the package goes through _from_rows, which takes reduced echelon rows
+{pivot: row} and checks nothing, as core._element does for elements.
 _echelon consumes the dicts it is given (reduces them in place and keeps
 some as rows), so every caller passes fresh dicts; span() and Subspace.sum
 copy the terms of their input elements at the boundary.
@@ -164,7 +164,7 @@ def _field_of(vectors, n, field=None):
         if v.terms:
             if field is None:
                 field = v.field
-            elif v.field is not field and v.field != field:
+            elif v.field is not field:
                 raise AmbientMismatch("vector %r outside the field %s" % (v, field.name))
     return QQ if field is None else field
 
@@ -175,17 +175,14 @@ def _space(n, field, dicts) -> "Subspace":
 
 
 def _from_rows(n, field, rows) -> "Subspace":
-    """The Subspace over field on reduced echelon rows {pivot: row}."""
-    return _subspace(n, field, [_element(n, field, rows[p]) for p in sorted(rows)])
-
-
-def _subspace(n, field, basis) -> "Subspace":
-    """Subspace on a basis already in reduced echelon form over field; checks nothing."""
+    """The Subspace over field on reduced echelon rows {pivot: row}, which it
+    keeps as its _pivots; checks nothing."""
     s = object.__new__(Subspace)
     s.n = n
     s.field = field
-    s.basis = tuple(basis)
-    s._pivots = {min(b.terms): b.terms for b in s.basis}
+    # a list, not a generator: tuple(<genexpr>) over-allocates while it grows
+    s.basis = tuple([_element(n, field, rows[p]) for p in sorted(rows)])
+    s._pivots = rows
     return s
 
 
@@ -245,7 +242,7 @@ class Subspace:
             raise TypeError("expected a Subspace")
         if other.n != self.n:
             raise AmbientMismatch("subspaces from n=%d and n=%d" % (self.n, other.n))
-        if other.field != self.field:
+        if other.field is not self.field:
             raise AmbientMismatch(
                 "subspaces over different fields: %s vs %s" % (self.field.name, other.field.name)
             )
@@ -260,7 +257,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and other.n == self.n
-            and other.field == self.field
+            and other.field is self.field
             and other.basis == self.basis
         )
 
@@ -286,12 +283,11 @@ def span(vectors, n=None, field=None) -> Subspace:
 
 def zero_space(n: int, field=QQ) -> Subspace:
     _check_n(n)
-    return _subspace(n, _check_field(field), ())
+    return _from_rows(n, _check_field(field), {})
 
 
 def monomial_space(n: int, masks, field=QQ) -> Subspace:
-    _check_field(field)
-    return _subspace(n, field, [_element(n, field, {m: field.one}) for m in SetFamily(n, masks)])
+    return _from_rows(n, _check_field(field), {m: {m: field.one} for m in SetFamily(n, masks)})
 
 
 def full_space(n: int, field=QQ) -> Subspace:
@@ -406,18 +402,26 @@ def product_span(a: Subspace, b: Subspace) -> Subspace:
     return _from_rows(n, field, rows)
 
 
+def _from_blocks(n, field, rows) -> Subspace:
+    """The Subspace on echelon rows keyed (block(m) << n) | m, each cut to its
+    pivot's block.  The block is a function of m, so lowering keys to masks is
+    one-to-one and keeps the order in a block: the cut rows are monic on
+    distinct pivots that no other cut row holds, reduced echelon as they come."""
+    low = (1 << n) - 1
+    return _from_rows(n, field, {p & low: {k & low: c for k, c in row.items() if k >> n == p >> n} for p, row in rows.items()})
+
+
 def split_generator(d: Subspace, i: int) -> Subspace:
     """ker(s_i|_D) + im(s_i|_D) for the substitution s_i killing generator i.
 
-    One echelon of D's basis with the masks holding i lifted above 2^n; each
-    row keeps the keys on its pivot's side of 2^n, lowered below it.  The rows
-    pivoted above 2^n span the kernel and the others the image; they share no
-    key, so no second echelon runs.  The dimension is kept; that is asserted."""
+    One echelon of D's basis in blocks (_from_blocks): block 1 holds the
+    masks with i, block 0 the others.  The rows pivoted in block 1 span the
+    kernel and the others the image, so no second echelon runs.  The
+    dimension is kept; that is asserted."""
     top = 1 << d.n
     bit = 1 << (_check_int(i, "generator index", 1, d.n) - 1)
     rows = _echelon({m | top if m & bit else m: c for m, c in b.terms.items()} for b in d.basis)
-    cut = {p % top: {m % top: c for m, c in row.items() if (m < top) == (p < top)} for p, row in rows.items()}
-    out = _from_rows(d.n, d.field, cut)
+    out = _from_blocks(d.n, d.field, rows)
     if out.dim != d.dim:
         raise AssertionError("generator split changed dimension (%d -> %d)" % (d.dim, out.dim))
     return out
@@ -461,13 +465,12 @@ def monomial_supports(d: Subspace, order=None) -> SetFamily:
 def min_degree_space(a: Subspace) -> Subspace:
     """Span of the lowest-degree homogeneous parts of all members.
 
-    Echelonizing on the keys (degree << n) | mask pivots degree first, which
-    makes the rows' lowest parts independent; row by row they span the lot."""
+    One echelon in blocks (_from_blocks), the degree as the block, pivots
+    degree first: the cut rows are the rows' lowest-degree parts, independent
+    as their pivots differ; row by row they span the lot."""
     n = a.n
     rows = _echelon({(m.bit_count() << n) | m: c for m, c in b.terms.items()} for b in a.basis)
-    low = (1 << n) - 1
-    mins = [{k & low: c for k, c in row.items() if k >> n == p >> n} for p, row in rows.items()]
-    return _space(n, a.field, mins)
+    return _from_blocks(n, a.field, rows)
 
 
 def skew_form(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:

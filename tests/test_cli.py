@@ -106,6 +106,17 @@ def test_gamma_bad_perm(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "gamma", path, "--perm", "1")
     assert code == 2
+    code, out, err = run(capsys, "gamma", path, "--perm", "1,x")
+    assert code == 2 and out == "" and "comma-separated integers" in err
+
+
+@pytest.mark.parametrize("command", ["gamma", "analyze"])
+@pytest.mark.parametrize("tag", [5, None], ids=["int", "null"])
+def test_document_with_a_non_string_field_tag_exits_2(capsys, tmp_path, command, tag):
+    path = write_doc(tmp_path, "d.json", {"n": 2, "field": tag, "basis": ["v{1}"]})
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "field tag" in err and "Traceback" not in err
 
 
 def test_analyze_canonical(capsys, tmp_path):

@@ -340,6 +340,24 @@ def test_scalars_from_another_field_are_refused():
     assert zero(2).scale(one5) == zero(2) / one7 == zero(2)
 
 
+def test_monomial_takes_its_coefficient_by_the_rule_of_scale():
+    f5 = PrimeField(5)
+    # (coefficient, field) pairs that scale refuses: monomial refuses them too
+    for c, field in ((Fraction(1, 2), f5), (FpElement(5, 1), QQ), (FpElement(7, 1), f5)):
+        with pytest.raises(AmbientMismatch):
+            generator(2, 1, field).scale(c)
+        with pytest.raises(AmbientMismatch):
+            monomial(2, (1,), c, field)
+    # ints act on every field, and a scalar of the field is taken as it is
+    assert monomial(2, (2, 1), 7, f5) == generator(2, 1, f5).scale(7) * generator(2, 2, f5) * -1
+    assert monomial(2, (1,), FpElement(5, 3), f5) == generator(2, 1, f5).scale(FpElement(5, 3))
+    assert monomial(2, (1,), Fraction(1, 2)) == generator(2, 1).scale(Fraction(1, 2))
+    assert monomial(2, (1,), FpElement(5, 5), f5).is_zero() and monomial(2, (1,), 0, f5).field is f5
+    for bad in (0.5, True, "1"):
+        with pytest.raises(TypeError):
+            monomial(2, (1,), bad)
+
+
 # One integer rule: a generator index, degree, star point, mask or search
 # budget must be an int, never a bool, or the call refuses it with ValueError.
 

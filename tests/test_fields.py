@@ -1,8 +1,10 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from extalg.fields import QQ, FpElement, PrimeField, _inverse, field_by_name
+from extalg.fields import QQ, FpElement, PrimeField, Rationals, _inverse, field_by_name, field_of
 
 
 def test_rational_coerce():
@@ -89,6 +91,9 @@ def test_field_by_name():
         field_by_name("real")
     with pytest.raises(ValueError):
         field_by_name("gf:abc")
+    for tag in (5, None, 7.0, ["rational"], b"rational"):
+        with pytest.raises(ValueError):
+            field_by_name(tag)
 
 
 def test_fp_hash_matches_eq():
@@ -137,3 +142,45 @@ def test_a_field_argument_must_be_a_field():
         for bad in ("QQ", "rational", "x", 3) + (() if name in ("span", "hom_from_images") else (None,)):
             with pytest.raises(TypeError):
                 call(bad)
+
+
+def test_one_descriptor_per_field():
+    assert Rationals() is QQ
+    for p in (3, 5, 7, 10007):
+        f = PrimeField(p)
+        assert PrimeField(p) is f
+        assert field_of(FpElement(p, 2)) is f and field_of(f.one) is f
+        assert field_by_name("gf:%d" % p) is f
+    assert PrimeField(5) is not PrimeField(7)
+    assert field_of(3) is QQ and field_of(Fraction(1, 2)) is QQ
+    for f in (QQ, PrimeField(5), PrimeField(10007)):
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        assert copy.deepcopy([f, {"f": f}]) == [f, {"f": f}]
+    # a refused order is refused on every call, with nothing kept
+    for bad in (4, 2, 3.0, True, "5"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                PrimeField(bad)
+
+
+def test_fields_built_apart_give_equal_elements_and_subspaces():
+    from extalg.core import AmbientMismatch, generator
+    from extalg.subspace import span
+    from extalg.text import parse_element
+
+    x = parse_element("2*v{1}+v{1,2}", 2, PrimeField(5))
+    y = parse_element("2*v{1}+v{1,2}", 2, field_by_name("gf:5"))
+    assert x == y and hash(x) == hash(y)
+    a = span([x, generator(2, 2, PrimeField(5))])
+    b = span([y, generator(2, 2, pickle.loads(pickle.dumps(PrimeField(5))))])
+    assert a == b and hash(a) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a).field is PrimeField(5)
+    g7 = generator(2, 1, PrimeField(7))
+    with pytest.raises(AmbientMismatch):
+        x + g7
+    with pytest.raises(AmbientMismatch):
+        span([x, g7])
+    with pytest.raises(AmbientMismatch):
+        a.sum(span([g7]))
+    assert x != parse_element("2*v{1}+v{1,2}", 2, PrimeField(7))

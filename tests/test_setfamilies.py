@@ -126,6 +126,10 @@ def test_ground_size_refused_before_the_search_graph():
         enumerate_max_odd_intersecting(0)
     with pytest.raises(ValueError):
         two_level_max(17, 1, budget=1)
+    with pytest.raises(ValueError, match="n <= 5 only"):
+        enumerate_max_odd_intersecting(6)
+    with pytest.raises(ValueError, match="40 candidates"):
+        two_level_maxima(9, 1)
 
 
 def test_enumerate_maxima_n3():

@@ -163,6 +163,8 @@ def test_radical_invariant():
     assert radical_quotient_dim(upper_levels_commutative(6)) == (
         math.comb(6, 2) + math.comb(5, 2) + math.comb(5, 5)
     )
+    with pytest.raises(ValueError, match="not closed under products"):
+        radical_quotient_dim(span([unit(2), generator(2, 1), generator(2, 2)]))
 
 
 def test_graded_radical():
@@ -170,6 +172,8 @@ def test_graded_radical():
     r = graded_radical(a)
     assert r.dim == a.dim - 1
     assert not r.contains(unit(4))
+    assert r == span([b for b in a.basis if b.min_degree() > 0], n=4)
+    assert r.pivot_masks() == a.pivot_masks()[1:]
     with pytest.raises(ValueError):
         graded_radical(span([elem("v{1}+v{2,3}", 3), elem("1", 3)]))
     with pytest.raises(ValueError):

@@ -123,6 +123,10 @@ def test_ambient_and_field_mismatch():
     f = PrimeField(3)
     with pytest.raises(AmbientMismatch):
         span([elem("v{1}", 2)]).intersect(span([elem("v{1}", 2, f)], n=2, field=f))
+    with pytest.raises(TypeError, match="expected a Subspace"):
+        span([elem("v{1}", 2)]).sum(3)
+    with pytest.raises(ValueError, match="explicit n"):
+        span([])
 
 
 def test_standard_spaces():
@@ -303,6 +307,8 @@ def test_perp_examples():
         assert perp(zero_space(n)) == odd_space(n)
     d = star_space(4, 1, 1).sum(star_space(4, 3, 1))  # odd monomials containing 1
     assert perp(d) == d
+    with pytest.raises(ValueError, match="odd part only"):
+        perp(span([elem("v{1}+v{1,2}", 2)]))
 
 
 def test_perp_brute_force_oracle_gf3():
@@ -834,3 +840,62 @@ def test_intersect_and_perp_rows_need_no_second_echelon(field):
         for d in odd:
             p = perp(d)
             assert_same_basis(p, re_echelon(p))
+
+
+# split_generator and min_degree_space cut their echelon rows to the pivot's
+# block in one helper; these are the two cuts it replaced, the second one
+# followed by another echelon.
+
+def split_by_its_own_cut(d, i):
+    """The rows of one echelon on lifted keys, each kept on its pivot's side of 2^n."""
+    from extalg.subspace import _echelon
+
+    top, bit = 1 << d.n, 1 << (i - 1)
+    rows = _echelon({m | top if m & bit else m: c for m, c in b.terms.items()} for b in d.basis)
+    cut = {p % top: {m % top: c for m, c in row.items() if (m < top) == (p < top)} for p, row in rows.items()}
+    return Subspace(d.n, d.field, [GrassmannElement(d.n, cut[p]) for p in sorted(cut)])
+
+
+def min_degree_by_cut_then_echelon(a):
+    """The lowest-degree parts of the degree-first echelon rows, echelonized again."""
+    from extalg.subspace import _echelon, _space
+
+    n, low = a.n, (1 << a.n) - 1
+    rows = _echelon({(m.bit_count() << n) | m: c for m, c in b.terms.items()} for b in a.basis)
+    return _space(n, a.field, [{k & low: c for k, c in row.items() if k >> n == p >> n} for p, row in rows.items()])
+
+
+def assert_pivots_are_the_basis(s):
+    assert s._pivots == {min(b.terms): b.terms for b in s.basis}
+    assert all(s._pivots[min(b.terms)] is b.terms for b in s.basis)
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=["QQ", "GF3", "GF10007"])
+def test_block_cut_matches_the_cuts_it_replaced(field):
+    rng = random.Random(139)
+    for n in range(1, 8):
+        spaces = differential_spaces(rng, n, field)
+        # the inputs mix degrees inside a basis vector, as min_degree_space needs
+        assert n < 2 or any(len(b.degrees()) > 1 for d in spaces for b in d.basis)
+        for d in spaces:
+            for i in range(1, n + 1):
+                s = split_generator(d, i)
+                assert_same_basis(s, split_by_its_own_cut(d, i))
+                assert_pivots_are_the_basis(s)
+            m = min_degree_space(d)
+            assert_same_basis(m, min_degree_by_cut_then_echelon(d))
+            assert_pivots_are_the_basis(m)
+            assert m.is_graded() and m.field is field
+
+
+def test_subspaces_keep_their_rows_as_pivots():
+    from extalg.structure import graded_radical, upper_levels_commutative
+
+    rng = random.Random(149)
+    for field in DIFFERENTIAL_FIELDS:
+        a, b = rand_space(rng, 4, field=field), rand_space(rng, 4, field=field)
+        for s in (zero_space(4, field), monomial_space(4, [3, 5, 0], field), full_space(3, field), a, b,
+                  a.sum(b), a.intersect(b), product_span(a, b), Subspace(4, field, a.basis),
+                  graded_radical(upper_levels_commutative(4, field=field))):
+            assert_pivots_are_the_basis(s)
+            assert s.field is field

@@ -75,6 +75,12 @@ def test_parse_error_kinds_and_positions():
         parse_element("+", 2)
     with pytest.raises(ParseError):
         parse_element("2/-3", 2)
+    with pytest.raises(ParseError, match="unexpected character '#'"):
+        parse_element("v{1}#", 2)
+    with pytest.raises(ParseError, match="expected '{' after v"):
+        parse_element("v1", 2)
+    with pytest.raises(ParseError, match="expected ',' or '}'"):
+        parse_element("v{1 2}", 2)
 
 
 def test_parse_error_message_carries_position():
@@ -189,6 +195,9 @@ def test_document_validation():
     with pytest.raises(ValueError) as e:
         read_subspace({"n": 3, "field": "rational", "basis": ["v{1}", "v{4}"]})
     assert "basis[1]" in str(e.value)
+    for tag in (5, None, 3.5, ["rational"], {"gf": 5}):
+        with pytest.raises(ValueError, match="field tag must be a string"):
+            read_subspace({"n": 3, "field": tag, "basis": ["v{1}"]})
 
 
 def test_document_empty_basis_is_zero_space():
