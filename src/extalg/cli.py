@@ -40,7 +40,11 @@ def _load_document(path: str):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    return read_subspace(json.loads(raw))
+    try:
+        doc = json.loads(raw)
+    except RecursionError:
+        raise ValueError("document nested too deeply to parse") from None
+    return read_subspace(doc)
 
 
 def _parse_perm(text: str):

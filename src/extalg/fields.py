@@ -56,16 +56,34 @@ class Rationals:
 QQ = object.__new__(Rationals)
 
 
+# The strong probable-prime test to the first 13 prime bases is exact below
+# this bound, the least number that passes it without being prime
+# (Sorenson and Webster, 2015).  The first 12 bases are fooled already by
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < _PRIME_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d = p - 1
+    s = (d & -d).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -162,8 +180,8 @@ class PrimeField:
     def __new__(cls, p: int):
         field = cls._by_p.get(p) if type(p) is int else None
         if field is None:
-            if type(p) is not int or not _is_prime(p):
-                raise ValueError("field order must be a prime number, got %r" % (p,))
+            if type(p) is not int or not (p < _PRIME_BOUND and _is_prime(p)):
+                raise ValueError("field order must be a prime number below %d, got %r" % (_PRIME_BOUND, p))
             if p == 2:
                 raise ValueError("characteristic 2 is not supported (2 must be invertible)")
             field = cls._by_p[p] = object.__new__(cls)

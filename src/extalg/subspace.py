@@ -44,6 +44,13 @@ the package goes through _from_rows, which takes reduced echelon rows
 _echelon consumes the dicts it is given (reduces them in place and keeps
 some as rows), so every caller passes fresh dicts; span() and Subspace.sum
 copy the terms of their input elements at the boundary.
+
+_echelon reduces each incoming dict by the rows so far until its smallest
+key is a new pivot, then back-substitutes row by row, by descending pivot:
+each row clears only its own keys that are other rows' pivots.  Those rows
+have larger pivots and are already reduced, so they bring in only keys that
+are no pivot, and one pass per row is enough.  The work is the rows' length,
+so a monomial space costs one lookup per row, not one per pair of rows.
 """
 
 from __future__ import annotations
@@ -119,7 +126,14 @@ def _reduce(d: dict, rows: dict):
 
 def _echelon(dicts):
     """Reduced echelon rows from term dicts, which it consumes: the dicts are
-    reduced in place and may become rows. Returns {pivot: row}."""
+    reduced in place and may become rows. Returns {pivot: row}.
+
+    The forward pass leaves each row's pivot as its smallest key.  The
+    back-substitution then takes the rows by descending pivot and clears from
+    each row only its own keys that are other rows' pivots.  The rows with a
+    larger pivot are already reduced, so eliminating with one adds only keys
+    above p that are no pivot: one pass per row is enough, and the cost is
+    the rows' length, not a scan of every earlier row per pivot."""
     rows = {}
     for d in dicts:
         p = _reduce(d, rows)
@@ -129,14 +143,10 @@ def _echelon(dicts):
                 ic = _inverse(c)
                 d = {m: ic * x for m, x in d.items()}
             rows[p] = d
-    pivots = sorted(rows)
-    for i in range(len(pivots) - 1, -1, -1):
-        p = pivots[i]
+    for p in sorted(rows, reverse=True):
         rp = rows[p]
-        for q in pivots[:i]:
-            rq = rows[q]
-            if p in rq:
-                _eliminate(rq, p, rp)
+        for m in [m for m in rp if m != p and m in rows]:
+            _eliminate(rp, m, rows[m])
     return rows
 
 
@@ -226,7 +236,10 @@ class Subspace:
         return not self.reduce(x).terms
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
+        """other lies in this subspace; refuses what sum and intersect refuse."""
+        self._check_compatible(other)
+        rows = self._pivots
+        return all(_reduce(dict(b.terms), rows) is None for b in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

@@ -111,6 +111,32 @@ def test_gamma_bad_perm(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["gamma", "analyze"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_deeply_nested_document_exits_2(capsys, tmp_path, monkeypatch, command, source):
+    import io
+
+    raw = "[" * 100_000
+    if source == "file":
+        p = tmp_path / "deep.json"
+        p.write_text(raw)
+        doc = str(p)
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+        doc = "-"
+    code, out, err = run(capsys, command, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["gamma", "analyze"])
+def test_document_over_a_30_digit_field_exits_2(capsys, tmp_path, command):
+    path = write_doc(tmp_path, "d.json", {"n": 2, "field": "gf:%d" % (10**29 + 1), "basis": ["v{1}"]})
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "prime number below" in err
+
+
+@pytest.mark.parametrize("command", ["gamma", "analyze"])
 @pytest.mark.parametrize("tag", [5, None], ids=["int", "null"])
 def test_document_with_a_non_string_field_tag_exits_2(capsys, tmp_path, command, tag):
     path = write_doc(tmp_path, "d.json", {"n": 2, "field": tag, "basis": ["v{1}"]})

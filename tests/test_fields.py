@@ -75,6 +75,40 @@ def test_prime_field_validation():
     assert PrimeField(3).name == "gf:3"
 
 
+def test_is_prime_matches_trial_division_below_10_5():
+    from extalg.fields import _is_prime
+
+    small = [d for d in range(2, 317) if all(d % e for e in range(2, d))]
+    by_trial = [p for p in range(2, 10**5) if all(p % d for d in small if d * d <= p)]
+    assert [p for p in range(10**5) if _is_prime(p)] == by_trial
+
+
+def test_is_prime_refuses_pseudoprimes():
+    from extalg.fields import _is_prime
+
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265, 321197185, 5394826801]
+    # strong pseudoprimes to bases 2; 2..7; 2..37, the first twelve primes
+    strong = [2047, 3215031751, 318665857834031151167461]
+    for q in carmichael + strong:
+        assert not _is_prime(q)
+    for q in (10**14 + 31, 2**61 - 1, 10**24 + 7):
+        assert _is_prime(q)
+    assert not _is_prime(2**61 + 1) and not _is_prime((2**61 - 1) * (2**31 - 1))
+
+
+def test_prime_field_orders_are_checked_at_once():
+    from extalg.fields import _PRIME_BOUND
+
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert field_by_name("gf:%d" % (10**14 + 31)).p == 10**14 + 31
+    # beyond the bound where the test is exact, every order is refused
+    for p in (_PRIME_BOUND, 2**127 - 1, 10**29 + 1):
+        with pytest.raises(ValueError, match="prime number below"):
+            PrimeField(p)
+    with pytest.raises(ValueError):
+        field_by_name("gf:%d" % (10**29 + 1))
+
+
 def test_mismatched_moduli_rejected():
     a = FpElement(3, 1)
     b = FpElement(5, 1)

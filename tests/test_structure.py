@@ -130,6 +130,17 @@ def test_canonical_algebras():
         canonical_max_commutative(3, l=4)
 
 
+def test_canonical_algebra_is_maximal_at_n15():
+    # a scale guard: back-substitution that scans every earlier row per
+    # pivot takes this from a fraction of a second to tens of seconds
+    from extalg.structure import _odd_parts
+
+    a = canonical_max_commutative(15)
+    assert is_maximal_commutative(a)
+    d = _odd_parts(a)
+    assert perp(d) == d
+
+
 def test_canonical_even_n_structure():
     a = canonical_max_commutative(4, l=2)
     assert a.dim == 12

@@ -899,3 +899,83 @@ def test_subspaces_keep_their_rows_as_pivots():
                   graded_radical(upper_levels_commutative(4, field=field))):
             assert_pivots_are_the_basis(s)
             assert s.field is field
+
+
+# _echelon back-substitutes row by row, by descending pivot; this is the
+# column scan it replaced, where each pivot is looked up in every earlier row.
+
+def echelon_by_column_scan(dicts):
+    from extalg.fields import _inverse
+    from extalg.subspace import _eliminate, _reduce
+
+    rows = {}
+    for d in dicts:
+        p = _reduce(d, rows)
+        if p is not None:
+            c = d[p]
+            if c != 1:
+                ic = _inverse(c)
+                d = {m: ic * x for m, x in d.items()}
+            rows[p] = d
+    pivots = sorted(rows)
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        for q in pivots[:i]:
+            if p in rows[q]:
+                _eliminate(rows[q], p, rows[p])
+    return rows
+
+
+def echelon_inputs(rng, n, field):
+    """Lists of term dicts: monomial, dense, dependent and repeated, seeded
+    random_subspace bases in another basis, and split_generator's lifted keys."""
+    from extalg.verify import random_element, random_subspace
+
+    masks = range(1 << n)
+    coeffs = [field.coerce(c) for c in (-2, -1, 1, 2)]
+    inputs = [[{m: rng.choice(coeffs)} for m in rng.choices(masks, k=rng.randint(1, 2 << n))] for _ in range(2)]
+    dense = [random_element(rng, n, field=field, max_terms=1 << n) for _ in range(rng.randint(1, 8))]
+    inputs.append([x.terms for x in dense])
+    inputs.append([x.terms for x in dense + [dense[0] + dense[-1], dense[0].scale(2), dense[-1]]])
+    top = 1 << n
+    for _ in range(3):
+        s = random_subspace(rng, n, max_dim=min(12, 1 << n), field=field)
+        b = s.basis
+        inputs.append([(x + y).terms for x, y in zip(b, b[1:] + b[:1])] + [x.terms for x in b])
+        for i in range(1, n + 1):
+            bit = 1 << (i - 1)
+            inputs.append([{m | top if m & bit else m: c for m, c in x.terms.items()} for x in s.basis])
+    return inputs
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=["QQ", "GF3", "GF10007"])
+def test_echelon_matches_the_column_scan(field):
+    from extalg.subspace import _echelon
+
+    rng = random.Random(151)
+    reduced = 0
+    for n in range(1, 8):
+        for dicts in echelon_inputs(rng, n, field):
+            got = _echelon([dict(d) for d in dicts])
+            want = echelon_by_column_scan([dict(d) for d in dicts])
+            assert got == want
+            assert all(min(row) == p and row[p] == 1 for p, row in got.items())
+            reduced += any(len(row) > 1 for row in got.values())
+    # most of the 133 inputs leave rows of two or more terms
+    assert reduced > 100
+
+
+def test_contains_space_refuses_what_sum_refuses():
+    a = span([elem("v{1}+v{2}", 2)])
+    assert a.contains_space(zero_space(2)) and a.contains_space(a)
+    assert not a.contains_space(span([elem("v{1}", 2)]))
+    with pytest.raises(AmbientMismatch):
+        a.contains_space(zero_space(3))
+    with pytest.raises(AmbientMismatch):
+        a.contains_space(span([elem("v{1}", 2, PrimeField(3))], n=2, field=PrimeField(3)))
+    with pytest.raises(AmbientMismatch):
+        a.contains_space(zero_space(2, PrimeField(3)))
+    with pytest.raises(TypeError, match="expected a Subspace"):
+        a.contains_space(elem("v{1}+v{2}", 2))
+    with pytest.raises(TypeError, match="expected a Subspace"):
+        a.contains_space([elem("v{1}+v{2}", 2)])
