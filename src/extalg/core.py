@@ -24,6 +24,10 @@ every element built inside the package is given the field it already has,
 so ops never look at a coefficient to learn a field.  A zero element mixes
 with elements over any field and takes any scalar.  Rational coefficients
 stay ints until a division (fields._inverse) makes a Fraction.
+
+Masks are built in two places: _indices_mask reads an index list for
+mask_of_indices and monomial, and _level_masks lists the masks whose size
+lies in a set of levels, for every grade, parity and level family.
 """
 
 from __future__ import annotations
@@ -64,15 +68,28 @@ def _check_n(n):
     _check_int(n, "number of generators", 1, MAX_N)
 
 
-def mask_of_indices(n: int, indices) -> int:
-    """it is an error for an index to repeat or to leave 1..n."""
-    mask = 0
+def _indices_mask(n, indices):
+    """(mask, parity of the inversions) of an index list; an index that
+    repeats or leaves 1..n is refused with ValueError."""
+    mask = inv = 0
     for i in indices:
         bit = 1 << (_check_int(i, "generator index", 1, n) - 1)
         if mask & bit:
             raise ValueError("generator index %d repeated" % i)
+        inv += (mask >> i).bit_count()  # earlier indices above i
         mask |= bit
-    return mask
+    return mask, inv & 1
+
+
+def _level_masks(n, sizes) -> list:
+    """The masks below 2^n whose size (bit count) lies in sizes, ascending."""
+    sizes = set(sizes)
+    return [m for m in range(1 << n) if m.bit_count() in sizes]
+
+
+def mask_of_indices(n: int, indices) -> int:
+    """it is an error for an index to repeat or to leave 1..n."""
+    return _indices_mask(n, indices)[0]
 
 
 def indices_of_mask(mask: int) -> tuple:
@@ -403,18 +420,11 @@ def monomial(n: int, indices, coeff=1, field=QQ):
     """coeff * v_{indices}, coeff taken by the rule of scale; unordered
     indices pick up the permutation sign."""
     _check_n(n)
-    seen = 0
-    inv = 0
-    for i in indices:
-        bit = 1 << (_check_int(i, "generator index", 1, n) - 1)
-        if seen & bit:
-            raise ValueError("generator index %d repeated" % i)
-        inv += (seen >> i).bit_count()  # earlier indices above i
-        seen |= bit
+    mask, odd = _indices_mask(n, indices)
     c = _scalar(coeff, _check_field(field))
-    if inv & 1:
+    if odd:
         c = -c
-    return _element(n, field, {seen: c} if c else {})
+    return _element(n, field, {mask: c} if c else {})
 
 
 def generator(n: int, i: int, field=QQ):

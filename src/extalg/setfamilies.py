@@ -1,22 +1,24 @@
 """Families of subsets of {1..n} and exact maximum intersecting searches.
 
-Members are bitmasks (index i on bit i-1).  The searches are maximum
-clique computations on the graph whose vertices are candidate sets and
-whose edges join sets with nonempty intersection.  Branch and bound,
-deterministic: vertices are tried in ascending mask order, the bound is
-the lesser of a greedy coloring count and a count of disjoint mated
-pairs, valid for any candidate set (see _CliqueSearch).  The reported
-certificate is therefore the first maximum family in DFS order.  The walk
-keeps an explicit stack of the open nodes' candidate sets, so the clique
-size is not limited by Python's recursion limit.  A node budget caps the
-work; running out raises, it never degrades silently.
+Members are bitmasks (index i on bit i-1); a family of whole levels or a
+star takes them from core._level_masks, in ascending mask order.  The
+searches are maximum clique computations on the graph whose vertices are
+candidate sets and whose edges join sets with nonempty intersection.
+Branch and bound, deterministic: vertices are tried in ascending mask
+order, the bound is the lesser of a greedy coloring count and a count of
+disjoint mated pairs, valid for any candidate set (see _CliqueSearch).
+The reported certificate is therefore the first maximum family in DFS
+order.  The walk keeps an explicit stack of the open nodes' candidate
+sets, so the clique size is not limited by Python's recursion limit.  A
+node budget caps the work; running out raises, it never degrades
+silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_int, _check_n, indices_of_mask, mask_of_indices
+from .core import _check_int, _check_n, _level_masks, indices_of_mask, mask_of_indices
 
 __all__ = [
     "SetFamily",
@@ -90,19 +92,19 @@ def is_odd_family(fam: SetFamily) -> bool:
 
 
 def all_odd_masks(n: int) -> list:
-    return [m for m in range(1, 1 << n) if m.bit_count() & 1]
+    return _level_masks(n, range(1, n + 1, 2))
 
 
 def odd_upper_levels(n: int) -> SetFamily:
     """All sets of odd size i with 2i > n."""
-    return SetFamily(n, (m for m in range(1, 1 << n) if m.bit_count() & 1 and 2 * m.bit_count() > n))
+    return SetFamily(n, _level_masks(n, (i for i in range(1, n + 1, 2) if 2 * i > n)))
 
 
 def star(n: int, k: int, l: int) -> SetFamily:
     """All k-sets through the point l."""
     _check_int(k, "degree", 0, n)
     bit = 1 << (_check_int(l, "star element", 1, n) - 1)
-    return SetFamily(n, (m for m in range(1 << n) if m & bit and m.bit_count() == k))
+    return SetFamily(n, (m for m in _level_masks(n, (k,)) if m & bit))
 
 
 @dataclass(frozen=True)
@@ -288,8 +290,7 @@ def ekr_max(n: int, k: int, budget=None) -> int:
     """Maximum intersecting family inside one level of k-sets, 2k <= n <= 12."""
     _check_int(n, "number of generators", 1, 12)
     _check_int(k, "level k", 1, n // 2)
-    cands = [m for m in range(1 << n) if m.bit_count() == k]
-    return _CliqueSearch(n, cands, budget).walk().size
+    return _CliqueSearch(n, _level_masks(n, (k,)), budget).walk().size
 
 
 def _two_level_cands(n, i):
@@ -298,8 +299,7 @@ def _two_level_cands(n, i):
         raise ValueError("n must be odd and at least 3, got %r" % (n,))
     if _check_int(i, "level i", 1, (n - 3) // 2) % 2 == 0:
         raise ValueError("level i must be odd, got %r" % (i,))
-    j = n - i - 1
-    return [m for m in range(1 << n) if m.bit_count() in (i, j)]
+    return _level_masks(n, (i, n - i - 1))
 
 
 def two_level_max(n: int, i: int, budget=None) -> int:

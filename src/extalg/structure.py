@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .core import GrassmannElement, _check_int, unit, zero
+from .core import GrassmannElement, _check_int, _level_masks, unit, zero
 from .fields import QQ
 from .setfamilies import odd_upper_levels, star
 from .subspace import (
@@ -30,6 +30,7 @@ from .subspace import (
     _from_rows,
     _space,
     even_space,
+    grade_space,
     hilbert_series,
     monomial_space,
     perp,
@@ -59,11 +60,6 @@ __all__ = [
 ]
 
 
-def _monomials_of_degree(n, k, field):
-    """Degree 1 generates E, degree 2 generates E_even (empty when n = 1)."""
-    return monomial_space(n, (m for m in range(1 << n) if m.bit_count() == k), field)
-
-
 def _odd_parts(a: Subspace) -> Subspace:
     """Span of the basis vectors' odd parts: a's odd part if a contains E_even."""
     return _space(a.n, a.field, [b.odd_part().terms for b in a.basis])
@@ -85,15 +81,16 @@ def is_square_zero(d: Subspace) -> bool:
 
 
 def is_e0_submodule(d: Subspace) -> bool:
-    return d.contains_space(product_span(_monomials_of_degree(d.n, 2, d.field), d))
+    # degree 2 generates E_even; the level is empty when n = 1
+    return d.contains_space(product_span(monomial_space(d.n, _level_masks(d.n, (2,)), d.field), d))
 
 
 def is_left_ideal(x: Subspace) -> bool:
-    return x.contains_space(product_span(_monomials_of_degree(x.n, 1, x.field), x))
+    return x.contains_space(product_span(grade_space(x.n, 1, x.field), x))
 
 
 def is_right_ideal(x: Subspace) -> bool:
-    return x.contains_space(product_span(x, _monomials_of_degree(x.n, 1, x.field)))
+    return x.contains_space(product_span(x, grade_space(x.n, 1, x.field)))
 
 
 def assemble(d: Subspace) -> Subspace:
@@ -137,10 +134,6 @@ def max_commutative_dim(n: int) -> int:
     )
 
 
-def _even_masks(n):
-    return [m for m in range(1 << n) if not m.bit_count() & 1]
-
-
 def canonical_max_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     """A commutative subalgebra of the maximal dimension.
 
@@ -150,9 +143,7 @@ def canonical_max_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     if n % 2:
         return upper_levels_commutative(n, l, field)
     bit = 1 << (_check_int(l, "star element", 1, n) - 1)
-    masks = set(_even_masks(n))
-    masks.update(m for m in range(1 << n) if m & bit)
-    return monomial_space(n, masks, field)
+    return monomial_space(n, _level_masks(n, range(0, n + 1, 2)) + [m for m in range(1 << n) if m & bit], field)
 
 
 def upper_levels_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
@@ -161,7 +152,7 @@ def upper_levels_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     canonical_max_commutative; for even n it is a maximal commutative
     subalgebra of the same dimension built from whole levels."""
     _check_int(l, "star element", 1, n)
-    masks = set(_even_masks(n))
+    masks = set(_level_masks(n, range(0, n + 1, 2)))
     masks.update(odd_upper_levels(n).masks)
     if n % 4 in (2, 3):
         masks.update(star(n, 2 * ((n - 2) // 4) + 1, l).masks)

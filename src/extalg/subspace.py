@@ -64,6 +64,7 @@ from .core import (
     _check_int,
     _check_n,
     _element,
+    _level_masks,
     _mul_terms,
     mask_of_indices,
     sign_of_masks,
@@ -309,15 +310,15 @@ def full_space(n: int, field=QQ) -> Subspace:
 
 def grade_space(n: int, k: int, field=QQ) -> Subspace:
     _check_int(k, "degree", 0, n)
-    return monomial_space(n, (m for m in range(1 << n) if m.bit_count() == k), field)
+    return monomial_space(n, _level_masks(n, (k,)), field)
 
 
 def even_space(n: int, field=QQ) -> Subspace:
-    return monomial_space(n, (m for m in range(1 << n) if not m.bit_count() & 1), field)
+    return monomial_space(n, _level_masks(n, range(0, n + 1, 2)), field)
 
 
 def odd_space(n: int, field=QQ) -> Subspace:
-    return monomial_space(n, (m for m in range(1 << n) if m.bit_count() & 1), field)
+    return monomial_space(n, _level_masks(n, range(1, n + 1, 2)), field)
 
 
 def star_space(n: int, k: int, l: int, field=QQ) -> Subspace:
@@ -507,7 +508,7 @@ def perp(d: Subspace) -> Subspace:
     # cols[j] holds skew_form(v_j, b_k) at key (k << n) | t for its term v_t.
     # v_j * v_s reaches the pairing degree only when j is the rest of {1..n}
     # minus s (n even), or that rest minus one index (n odd).
-    cols = {j: {} for j in range(1 << n) if j.bit_count() & 1}
+    cols = {j: {} for j in _level_masks(n, range(1, n + 1, 2))}
     for k, b in enumerate(d.basis):
         for s, c in b.terms.items():
             rest = full ^ s

@@ -240,7 +240,10 @@ def parse_element(text: str, n: int, field=QQ) -> GrassmannElement:
 def parse_expression(text: str, n: int, field=QQ) -> GrassmannElement:
     """Element grammar plus '*' products and parentheses (CLI calculator)."""
     p = _Parser(text, n, field)
-    return p.finish(p.sum(p.term_calc))
+    try:
+        return p.finish(p.sum(p.term_calc))
+    except RecursionError:
+        raise ParseError("syntax", p.peek()[2], "expression nested too deeply") from None
 
 
 def print_element(x: GrassmannElement) -> str:

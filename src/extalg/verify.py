@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import GrassmannElement, _check_int, _check_n, _element, monomial, unit, zero
+from .core import GrassmannElement, _check_int, _check_n, _element, _level_masks, monomial, unit, zero
 from .fields import QQ, PrimeField, _check_field
 from .setfamilies import (
     SetFamily,
@@ -121,6 +121,14 @@ def _ns(ctx, lo, hi):
     return out
 
 
+def _even_ns(ctx):
+    """The even n in 2, 4, 6 up to upto_n: the anchors on the even-n pairing."""
+    out = [n for n in (2, 4, 6) if n <= ctx.upto_n]
+    if not out:
+        raise CheckSkip("needs an even n <= %d" % ctx.upto_n)
+    return out
+
+
 def _from_l(ctx, ns):
     """The ns at which an anchor built on the star index l can run: n >= l."""
     out = [n for n in ns if n >= ctx.l]
@@ -203,7 +211,7 @@ def random_intersecting_odd_family(rng, n, max_size=8):
 
 def random_shear(rng, n, field=QQ):
     """Bijective algebra map v_i -> v_i + (odd correction of degree >= 3)."""
-    odd_hi = [m for m in range(1 << n) if m.bit_count() & 1 and m.bit_count() >= 3]
+    odd_hi = _level_masks(n, range(3, n + 1, 2))
     images = []
     for i in range(1, n + 1):
         u = monomial(n, (i,), 1, field)
@@ -439,13 +447,13 @@ def check_split_grading(ctx):
     for n in _ns(ctx, 3, 6):
         for _ in range(10):
             k = rng.randint(1, n)
-            d = random_subspace(rng, n, max_dim=4, masks=[m for m in range(1, 1 << n) if m.bit_count() == k])
+            d = random_subspace(rng, n, max_dim=4, masks=_level_masks(n, (k,)))
             i = rng.randint(1, n)
             if hilbert_series(split_generator(d, i)) != hilbert_series(d):
                 raise CheckFailure("split changed the grade dimensions at n=%d" % n)
             if hilbert_series(monomialize(d)) != hilbert_series(d):
                 raise CheckFailure("chain changed the grade dimensions at n=%d" % n)
-            mix = d.sum(random_subspace(rng, n, max_dim=2, masks=[m for m in range(1, 1 << n) if m.bit_count() == min(n, k + 1)]))
+            mix = d.sum(random_subspace(rng, n, max_dim=2, masks=_level_masks(n, (min(n, k + 1),))))
             pieces = [split_generator(mix.intersect(grade_space(n, j)), i) for j in range(n + 1)]
             glued = pieces[0]
             for p in pieces[1:]:
@@ -507,7 +515,7 @@ def check_ideal_square_n4(ctx):
     if a.dim != 6 or not (is_left_ideal(a) and is_right_ideal(a)):
         raise CheckFailure("input is not the expected 6-dimensional ideal")
     split = split_generator(a, 1)
-    want = monomial_space(4, [0b1100] + [m for m in range(16) if m.bit_count() >= 3])
+    want = monomial_space(4, [0b1100] + _level_masks(4, (3, 4)))
     if split != want:
         raise CheckFailure("split of the ideal came out as %r" % split)
     if not is_left_ideal(split):
@@ -541,14 +549,7 @@ def check_two_orders_n6(ctx):
 def check_flag_chain_n5(ctx):
     _need(ctx, 5)
     n = 5
-    vecs = []
-    for k in range(1, n + 1):
-        acc = zero(n)
-        for m in range(1 << n):
-            if m.bit_count() == k:
-                acc = acc + GrassmannElement(n, {m: QQ.one})
-        vecs.append(acc)
-    d = span(vecs, n=n)
+    d = span([_element(n, QQ, dict.fromkeys(_level_masks(n, (k,)), QQ.one)) for k in range(1, n + 1)], n=n)
     rng = ctx.rng("flag")
     orders = [list(range(1, n + 1)), list(range(n, 0, -1))]
     third = list(range(1, n + 1))
@@ -601,7 +602,7 @@ def check_plucker_n4(ctx):
             if ((a * a).is_zero()) != (s == 0):
                 raise CheckFailure("square-zero locus wrong at s=%d t=%d" % (s, t))
     rng = ctx.rng("plucker")
-    deg2 = [m for m in range(1 << 4) if m.bit_count() == 2]
+    deg2 = _level_masks(4, (2,))
     hits = 0
     for _ in range(200):
         y = random_element(rng, 4, masks=deg2)
@@ -675,11 +676,8 @@ def check_dimension_search(ctx):
 
 
 def check_even_maximal(ctx):
-    evens = [m for m in (2, 4, 6) if m <= ctx.upto_n]
-    if not evens:
-        raise CheckSkip("needs an even n <= %d" % ctx.upto_n)
     sizes = []
-    for n in _from_l(ctx, evens):
+    for n in _from_l(ctx, _even_ns(ctx)):
         a = canonical_max_commutative(n, ctx.l)
         if a.dim != 3 * 2 ** (n - 2):
             raise CheckFailure("canonical algebra at n=%d has dim %d" % (n, a.dim))
@@ -725,9 +723,7 @@ def check_star_all_n(ctx):
 
 
 def check_pairing_nondegenerate(ctx):
-    ns = [n for n in (2, 4, 6) if n <= ctx.upto_n]
-    if not ns:
-        raise CheckSkip("needs an even n <= %d" % ctx.upto_n)
+    ns = _even_ns(ctx)
     for n in ns:
         if not perp(odd_space(n)).is_zero():
             raise CheckFailure("pairing degenerate at n=%d" % n)
@@ -775,7 +771,7 @@ def check_two_level(ctx):
     if got != 10:
         raise CheckFailure("two-level maximum at (5,1) is %d" % got)
     tops = two_level_maxima(5, 1, budget=ctx.budget)
-    level3 = SetFamily(5, [m for m in range(32) if m.bit_count() == 3])
+    level3 = SetFamily(5, _level_masks(5, (3,)))
     if tops != [level3]:
         raise CheckFailure("two-level maximizer is not uniquely the full upper level")
     if ctx.upto_n >= 7:
@@ -786,9 +782,7 @@ def check_two_level(ctx):
 
 
 def check_complement_bound(ctx):
-    ns = [n for n in (2, 4, 6) if n <= ctx.upto_n]
-    if not ns:
-        raise CheckSkip("needs an even n <= %d" % ctx.upto_n)
+    ns = _even_ns(ctx)
     for n in ns:
         res = max_odd_intersecting(n, budget=ctx.budget)
         if res.size != 2 ** (n - 2):

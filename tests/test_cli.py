@@ -54,6 +54,13 @@ def test_eval_parse_error_exit_2(capsys):
     assert code == 2
 
 
+def test_eval_deeply_nested_expression_exits_2(capsys):
+    depth = 5_000
+    code, out, err = run(capsys, "eval", "(" * depth + "v{1}" + ")" * depth, "--n", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 def test_eval_transform_flags_conflict():
     with pytest.raises(SystemExit) as e:
         cli.main(["eval", "--n", "2", "v{1}", "--even", "--odd"])
@@ -367,9 +374,23 @@ PINNED_JSON = [
                                                          "v{1,2,3,4}", "2/3*v{1,2,3}+v{2,3,4}"]},
      "887d4cf4ebd65119c4e45d3b8c28f58c65bfd5c10fd62f60a232f4bd544788cd"),
 ]
+# verify-paper --json at the other --upto-n values; the seeded mask pools and
+# the skip paths differ at each N, and every N >= 8 prints the N = 8 bytes.
+PINNED_UPTO = {
+    1: "57e72bd0f5453457f2e21f43526f9802e5db6b364f50de54f201cd9654e0945c",
+    2: "420d62dc21fff6132e20f6de48a5d6f3eb6eb6fe9325001936483f2c1f628c74",
+    3: "78f9e8867bd09749e3d5e5b1f100be00422f8f09225e37be65f2d9a082fe642d",
+    4: "fd4d4bdb66abdb03f5173829b8b0be4f40d859cce0748a4ba74942c12010517c",
+    5: "4e4b1032ceb87f3c1a477837ad4b55a95642f88fecba5f54cb59d1619bd7e559",
+    6: "144d31ef85472b4fd29ef76fbed7eb53538e1b6d96e83677425ccd2ac01ae6ca",
+    8: "fac53fd6c2a888362aa9b24dc266eaa399e61505111c67d173d4611313fd44a0",
+}
+PINNED_JSON += [(["verify-paper", "--json", "--upto-n", str(n)], None, d) for n, d in PINNED_UPTO.items()]
 
 
-@pytest.mark.parametrize("argv, doc, digest", PINNED_JSON, ids=["verify-paper", "gamma-gf7", "analyze-rational"])
+@pytest.mark.parametrize("argv, doc, digest", PINNED_JSON,
+                         ids=["verify-paper", "gamma-gf7", "analyze-rational"]
+                         + ["verify-paper-upto-%d" % n for n in PINNED_UPTO])
 def test_json_output_bytes_are_pinned(capsys, tmp_path, argv, doc, digest):
     import hashlib
 

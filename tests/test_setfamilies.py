@@ -288,3 +288,44 @@ def test_adjacency_from_index_masks_matches_pairwise_rows():
     cases += [(3, [0, 1, 3, 1, 6])]
     for n, cands in cases:
         assert _CliqueSearch(n, cands, None).adj == pairwise_rows(cands)
+
+
+# _level_masks against a filter over every mask, and each builder on it
+# against the comprehension it replaced; lists compare with their order,
+# since seeded draws in verify-paper index into them.
+def filtered_masks(n, sizes):
+    return [m for m in range(1 << n) if m.bit_count() in sizes]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_level_masks_match_a_filter_over_every_mask(n):
+    from extalg.core import _level_masks
+
+    size_sets = [(), tuple(range(n + 1)), tuple(range(0, n + 1, 2)), tuple(range(1, n + 1, 2)),
+                 tuple(range(3, n + 1, 2)), (n,), (0, n), (n + 1,)]
+    size_sets += [(k,) for k in range(n + 1)] + [(i, n - i - 1) for i in range(n)]
+    for sizes in size_sets:
+        assert _level_masks(n, sizes) == filtered_masks(n, sizes), sizes
+    assert _level_masks(n, iter(range(1, n + 1, 2))) == filtered_masks(n, range(1, n + 1, 2))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_level_builders_match_their_former_comprehensions(n):
+    from extalg.subspace import even_space, grade_space, odd_space
+
+    assert all_odd_masks(n) == [m for m in range(1, 1 << n) if m.bit_count() & 1]
+    assert list(odd_upper_levels(n).masks) == [
+        m for m in range(1, 1 << n) if m.bit_count() & 1 and 2 * m.bit_count() > n]
+    for k in range(n + 1):
+        for l in range(1, n + 1):
+            bit = 1 << (l - 1)
+            assert list(star(n, k, l).masks) == [m for m in range(1 << n) if m & bit and m.bit_count() == k]
+    if n <= 8:
+        for k in range(n + 1):
+            assert list(grade_space(n, k).pivot_masks()) == [m for m in range(1 << n) if m.bit_count() == k]
+        assert list(even_space(n).pivot_masks()) == [m for m in range(1 << n) if not m.bit_count() & 1]
+        assert list(odd_space(n).pivot_masks()) == [m for m in range(1 << n) if m.bit_count() & 1]
+    if n >= 3 and n % 2:
+        for i in range(1, (n - 3) // 2 + 1, 2):
+            j = n - i - 1
+            assert _two_level_cands(n, i) == [m for m in range(1 << n) if m.bit_count() in (i, j)]

@@ -115,6 +115,10 @@ def test_expression_calculator():
         parse_expression("(v{1}", 2)
     with pytest.raises(ParseError):
         parse_expression("v{1}**v{2}", 2)
+    assert parse_expression("(" * 50 + "v{1}" + ")" * 50, 2) == generator(2, 1)
+    with pytest.raises(ParseError) as e:  # deeper than the recursion limit
+        parse_expression("(" * 5_000 + "v{1}" + ")" * 5_000, 2)
+    assert e.value.kind == "syntax" and "nested too deeply" in str(e.value)
 
 
 def test_print_canonical_form():
