@@ -218,14 +218,15 @@ class PrimeField:
 
 
 def field_by_name(name: str):
-    """Parse a field tag: "rational" or "gf:p" with p an odd prime."""
+    """Parse a field tag: "rational" or "gf:p" with p an odd prime written in
+    ASCII digits."""
     if not isinstance(name, str):
         raise ValueError("field tag must be a string, got %r" % (name,))
     if name == "rational":
         return QQ
     if name.startswith("gf:"):
         body = name[3:]
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise ValueError("malformed field tag %r" % name)
         return PrimeField(int(body))
     raise ValueError("unknown field tag %r (expected 'rational' or 'gf:p')" % name)

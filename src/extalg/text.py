@@ -7,11 +7,14 @@ Element grammar (whitespace allowed between tokens):
     coeff    := int ['/' posint]
     monomial := 'v' '{' idx (',' idx)* '}' | '1'
 
-Indices inside v{...} may come in any order; they are normalized to
-increasing order and the permutation sign is folded into the coefficient.
-A repeated index is an error, not zero.  parse_expression extends the
-grammar with '*' products and parentheses for the command line calculator;
-documents only ever use the strict element grammar.
+int, posint and idx are runs of one or more ASCII digits 0-9; other
+scripts' digits are refused.  Indices inside v{...} may come in any order;
+they are normalized to increasing order and the permutation sign is folded
+into the coefficient.  A repeated index is an error, not zero.
+parse_expression extends the grammar with '*' products and parentheses for
+the command line calculator; documents only ever use the strict element
+grammar.  Every rejected text raises ParseError at the offending token,
+a number too long for int() included.
 
 A subspace document is a JSON object {"n": int, "field": "rational"|"gf:p",
 "basis": [element strings]}.
@@ -42,7 +45,8 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_PUNCT = set("+-*/{},()")
+_DIGITS = frozenset("0123456789")
+_PUNCT = frozenset("+-*/{},()v")
 
 
 def _tokenize(text: str):
@@ -50,25 +54,19 @@ def _tokenize(text: str):
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+        if ch in _DIGITS:
+            j = i + 1
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             toks.append(("num", text[i:j], i))
             i = j
-            continue
-        if ch == "v":
-            toks.append(("v", ch, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
+        elif ch in _PUNCT:
             toks.append((ch, ch, i))
             i += 1
-            continue
-        raise ParseError("syntax", i, "unexpected character %r" % ch)
+        elif ch.isspace():
+            i += 1
+        else:
+            raise ParseError("syntax", i, "unexpected character %r" % ch)
     toks.append(("end", "", len(text)))
     return toks
 
@@ -84,133 +82,95 @@ class _Parser:
     def peek(self):
         return self.toks[self.i]
 
-    def take(self):
+    def take(self, kind=None, msg=None):
+        """The next token; one of another kind than kind is a syntax error."""
         t = self.toks[self.i]
+        if kind is not None and t[0] != kind:
+            raise ParseError("syntax", t[2], msg)
         if t[0] != "end":
             self.i += 1
         return t
 
-    def fail(self, kind, pos, msg):
-        raise ParseError(kind, pos, msg)
+    def number(self, msg):
+        """(value, pos) of the next token, which must be a number."""
+        _, digits, pos = self.take("num", msg)
+        try:
+            return int(digits), pos
+        except ValueError:  # more digits than int() converts
+            raise ParseError("syntax", pos, "number too long") from None
 
     # coeff := int ['/' posint]   (sign handled by the caller)
     def coeff(self):
-        kind, val, pos = self.take()
-        assert kind == "num"
-        num = int(val)
-        if self.peek()[0] == "/":
-            self.take()
-            dk, dv, dp = self.peek()
-            if dk != "num":
-                self.fail("syntax", dp, "expected a denominator after '/'")
-            self.take()
-            den = int(dv)
-            if den == 0:
-                self.fail("zero-denominator", dp, "zero denominator")
-            try:
-                return self.field.from_ratio(num, den)
-            except ZeroDivisionError:
-                self.fail("zero-denominator", dp, "denominator %d vanishes in %s" % (den, self.field.name))
-        return self.field.from_ratio(num)
-
-    # monomial := 'v' '{' idx (',' idx)* '}'    ('1' is handled by the caller)
-    def braced_monomial(self):
-        kind, _, vpos = self.take()
-        assert kind == "v"
-        if self.peek()[0] != "{":
-            self.fail("syntax", self.peek()[2], "expected '{' after v")
+        num, _ = self.number("expected a number")
+        if self.peek()[0] != "/":
+            return self.field.from_ratio(num)
         self.take()
+        den, pos = self.number("expected a denominator after '/'")
+        try:
+            return self.field.from_ratio(num, den)
+        except ZeroDivisionError:
+            raise ParseError("zero-denominator", pos, "denominator %d is zero in %s" % (den, self.field.name)) from None
+
+    # c * v{idx (',' idx)*}, indices sorted and the permutation sign folded into c
+    def monomial(self, c, msg=None):
+        self.take("v", msg)
+        self.take("{", "expected '{' after v")
         seen = 0
         inv = 0
         while True:
-            ik, iv, ipos = self.peek()
-            if ik == "}" and seen == 0:
-                self.fail("syntax", ipos, "empty index list")
-            if ik != "num":
-                self.fail("syntax", ipos, "expected a generator index")
-            self.take()
-            idx = int(iv)
+            idx, pos = self.number("expected a generator index")
             if not 1 <= idx <= self.n:
-                self.fail("range", ipos, "index %d outside 1..%d" % (idx, self.n))
+                raise ParseError("range", pos, "index %d outside 1..%d" % (idx, self.n))
             bit = 1 << (idx - 1)
             if seen & bit:
-                self.fail("duplicate", ipos, "index %d repeated" % idx)
+                raise ParseError("duplicate", pos, "index %d repeated" % idx)
             inv += (seen >> idx).bit_count()
             seen |= bit
-            nk, _, npos = self.peek()
-            if nk == ",":
+            if self.peek()[0] == "}":
                 self.take()
-                continue
-            if nk == "}":
-                self.take()
-                return seen, (-1 if inv & 1 else 1)
-            self.fail("syntax", npos, "expected ',' or '}' in index list")
+                return self._term(seen, -c if inv & 1 else c)
+            self.take(",", "expected ',' or '}' in index list")
 
-    def term_strict(self):
-        kind, val, pos = self.peek()
-        if kind == "num":
-            c = self.coeff()
-            nk = self.peek()[0]
-            if nk == "*":
-                self.take()
-                mk, mv, mpos = self.peek()
-                if mk == "v":
-                    mask, s = self.braced_monomial()
-                    return self._term(mask, s, c)
-                if mk == "num" and mv == "1":
-                    self.take()
-                    return self._term(0, 1, c)
-                self.fail("syntax", mpos, "expected a monomial after '*'")
-            if nk == "v":
-                mask, s = self.braced_monomial()
-                return self._term(mask, s, c)
-            return self._term(0, 1, c)
-        if kind == "v":
-            mask, s = self.braced_monomial()
-            return self._term(mask, s, self.field.one)
-        self.fail("syntax", pos, "expected a term")
-
-    def _term(self, mask, s, c):
-        if s < 0:
-            c = -c
+    def _term(self, mask, c):
         return _element(self.n, self.field, {mask: c} if c else {})
 
+    def term_strict(self):
+        if self.peek()[0] != "num":
+            return self.monomial(self.field.one, "expected a term")
+        c = self.coeff()
+        kind = self.peek()[0]
+        if kind == "*":
+            self.take()
+            if self.peek()[:2] == ("num", "1"):
+                self.take()
+                return self._term(0, c)
+            return self.monomial(c, "expected a monomial after '*'")
+        if kind == "v":
+            return self.monomial(c)
+        return self._term(0, c)
+
     def sum(self, term_fn):
-        sign = 1
-        k, _, _ = self.peek()
-        if k in "+-":
-            self.take()
-            sign = -1 if k == "-" else 1
+        sign = self.take()[0] if self.peek()[0] in "+-" else "+"
         acc = term_fn()
-        if sign < 0:
+        if sign == "-":
             acc = -acc
-        while True:
-            k, _, pos = self.peek()
-            if k not in "+-":
-                return acc
-            self.take()
+        while self.peek()[0] in "+-":
+            op = self.take()[0]
             t = term_fn()
-            acc = acc - t if k == "-" else acc + t
-        # not reached
+            acc = acc - t if op == "-" else acc + t
+        return acc
 
     # calculator grammar: factors chained by '*' or juxtaposition, parens
     def factor(self):
-        kind, val, pos = self.peek()
+        kind = self.peek()[0]
         if kind == "(":
             self.take()
             inner = self.sum(self.term_calc)
-            ck, _, cpos = self.peek()
-            if ck != ")":
-                self.fail("syntax", cpos, "expected ')'")
-            self.take()
+            self.take(")", "expected ')'")
             return inner
         if kind == "num":
-            c = self.coeff()
-            return self._term(0, 1, c)
-        if kind == "v":
-            mask, s = self.braced_monomial()
-            return self._term(mask, s, self.field.one)
-        self.fail("syntax", pos, "expected a factor")
+            return self._term(0, self.coeff())
+        return self.monomial(self.field.one, "expected a factor")
 
     def term_calc(self):
         acc = self.factor()
@@ -218,16 +178,12 @@ class _Parser:
             kind = self.peek()[0]
             if kind == "*":
                 self.take()
-                acc = acc * self.factor()
-            elif kind in ("num", "v", "("):
-                acc = acc * self.factor()
-            else:
+            elif kind not in ("num", "v", "("):
                 return acc
+            acc = acc * self.factor()
 
     def finish(self, value):
-        k, _, pos = self.peek()
-        if k != "end":
-            self.fail("syntax", pos, "trailing input")
+        self.take("end", "trailing input")
         return value
 
 

@@ -493,10 +493,14 @@ def check_min_space(ctx):
 
 # ------------------------------------------------------------ worked examples
 
+def _catalog_space(name):
+    """The rational subspace spanned by the worked example CATALOG[name]."""
+    return read_subspace({"field": "rational", **CATALOG[name]})
+
+
 def check_split_order_n2(ctx):
     _need(ctx, 2)
-    doc = CATALOG["split-order-n2"]
-    w = span([parse_element(s, doc["n"]) for s in doc["basis"]])
+    w = _catalog_space("split-order-n2")
     left = monomialize(w, [1, 2])
     right = monomialize(w, [2, 1])
     if left != monomial_space(2, [0b01]):
@@ -510,8 +514,7 @@ def check_split_order_n2(ctx):
 
 def check_ideal_square_n4(ctx):
     _need(ctx, 4)
-    doc = CATALOG["ideal-square-n4"]
-    a = span([parse_element(s, doc["n"]) for s in doc["basis"]])
+    a = _catalog_space("ideal-square-n4")
     if a.dim != 6 or not (is_left_ideal(a) and is_right_ideal(a)):
         raise CheckFailure("input is not the expected 6-dimensional ideal")
     split = split_generator(a, 1)
@@ -533,8 +536,7 @@ def check_ideal_square_n4(ctx):
 
 def check_two_orders_n6(ctx):
     _need(ctx, 6)
-    doc = CATALOG["order-dependent-supports-n6"]
-    d = span([parse_element(s, doc["n"]) for s in doc["basis"]])
+    d = _catalog_space("order-dependent-supports-n6")
     fam_id = monomial_supports(d)
     fam_swap = monomial_supports(d, [1, 2, 6, 4, 5, 3])
     want_id = SetFamily.from_sets(6, [[1, 2, 3], [1, 2, 4]])
@@ -569,8 +571,7 @@ def check_flag_chain_n5(ctx):
 
 def check_three_squares_n3(ctx):
     _need(ctx, 3)
-    doc = CATALOG["three-squares-n3"]
-    d = span([parse_element(s, doc["n"]) for s in doc["basis"]])
+    d = _catalog_space("three-squares-n3")
     canon = [print_element(b) for b in d.basis]
     if canon != ["v{1}", "v{1,2}+v{3}", "v{1,3}", "v{1,2,3}"]:
         raise CheckFailure("input drifted from the worked example: %r" % (canon,))

@@ -125,6 +125,10 @@ def test_field_by_name():
         field_by_name("real")
     with pytest.raises(ValueError):
         field_by_name("gf:abc")
+    # str.isdigit and int() also take other scripts' digits and superscripts
+    for tag in ("gf:\u0667", "gf:\u00b3", "gf:1\u0661"):
+        with pytest.raises(ValueError, match="malformed field tag"):
+            field_by_name(tag)
     for tag in (5, None, 7.0, ["rational"], b"rational"):
         with pytest.raises(ValueError):
             field_by_name(tag)

@@ -6,11 +6,13 @@ it also runs as a script on any interpreter:
     PYTHONPATH=src python tests/test_generators.py
 """
 
+import hashlib
 import random
 
-from extalg.core import GrassmannElement
+from extalg.core import GrassmannElement, _level_masks
 from extalg.fields import QQ, PrimeField
-from extalg.verify import random_element
+from extalg.text import print_element
+from extalg.verify import DEFAULT_SEED, random_element, random_shear, random_subspace
 
 
 def random_element_by_randint(rng, n, field=QQ, max_terms=4, coeff_bound=5, masks=None):
@@ -72,7 +74,25 @@ def test_random_element_refuses_an_empty_draw():
         raise AssertionError("random_element accepted %r" % (kw,))
 
 
+def test_seeded_shears_and_level_pools_are_pinned():
+    """verify-paper reports only counts, so its pins pass even if every shear
+    is the identity or a level pool comes in another order; these digests
+    pin the drawn inputs themselves."""
+    lines = []
+    for field in (QQ, PrimeField(3)):
+        for n in range(3, 9):
+            h = random_shear(random.Random("%s:shear-pin" % DEFAULT_SEED), n, field)
+            lines.append("shear %s %d: %s" % (field.name, n, " ".join(map(print_element, h.images))))
+            rng = random.Random("%s:pool-pin" % DEFAULT_SEED)
+            for k in range(1, n + 1):
+                d = random_subspace(rng, n, max_dim=4, field=field, masks=_level_masks(n, (k,)))
+                lines.append("pool %s %d %d: %s" % (field.name, n, k, " ".join(map(print_element, d.basis))))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "2b3a0906d4c5a17331614b746dc90871a322881c81ea44cd38cdb178969991a6"
+
+
 if __name__ == "__main__":
     test_random_element_draws_the_randint_stream()
     test_random_element_refuses_an_empty_draw()
+    test_seeded_shears_and_level_pools_are_pinned()
     print("random_element: randint stream reproduced")

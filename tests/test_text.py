@@ -1,4 +1,6 @@
+import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,29 @@ def test_parse_error_kinds_and_positions():
         parse_element("v1", 2)
     with pytest.raises(ParseError, match="expected ',' or '}'"):
         parse_element("v{1 2}", 2)
+
+
+def test_parse_refuses_non_ascii_digits():
+    # str.isdigit and int() take these; the grammar's int is ASCII digits only
+    for text, pos in (("v{\u00b2}", 2), ("\u00b2", 0), ("3/\u00b2", 2), ("v{\u0661}", 2), ("\u0661*v{1}", 0)):
+        for parse in (parse_element, parse_expression):
+            with pytest.raises(ParseError) as e:
+                parse(text, 2)
+            assert (e.value.kind, e.value.pos) == ("syntax", pos), text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit")
+def test_parse_refuses_a_number_int_cannot_convert():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for text, pos in (("1" * 5000, 0), ("v{" + "1" * 5000 + "}", 2), ("1/" + "1" * 5000, 2)):
+            for parse in (parse_element, parse_expression):
+                with pytest.raises(ParseError) as e:
+                    parse(text, 2)
+                assert (e.value.kind, e.value.pos) == ("syntax", pos), text[:4]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parse_error_message_carries_position():
@@ -207,3 +232,30 @@ def test_document_validation():
 def test_document_empty_basis_is_zero_space():
     s = read_subspace({"n": 4, "field": "rational", "basis": []})
     assert s.dim == 0 and s.n == 4
+
+
+# tokens and pieces the outcome pin draws its strings from
+_PIN_ALPHABET = list("v{},+-*/()0123") + [" ", "v{", ",1", ",2", "v{1}", "v{2,1}", "v{1,1}", "v{3,1,2}", "3/4", "10", "5"]
+
+
+def _outcome(parse, text, n, field):
+    try:
+        return print_element(parse(text, n, field))
+    except ParseError as e:
+        return "%s@%d" % (e.kind, e.pos)
+
+
+def test_parser_outcomes_are_pinned():
+    """Both grammars on 20,000 seeded short strings: the printed element, or
+    the refusal's kind and position, hashed.  Any change to the parser must
+    keep every one of these outcomes."""
+    rng = random.Random("parser-outcome-pin")
+    fields = (QQ, PrimeField(5))
+    h = hashlib.sha256()
+    for _ in range(20_000):
+        text = "".join(rng.choice(_PIN_ALPHABET) for _ in range(rng.randint(0, 12)))
+        n = rng.randint(1, 3)
+        field = rng.choice(fields)
+        for parse in (parse_element, parse_expression):
+            h.update(("%s|%s\n" % (text, _outcome(parse, text, n, field))).encode())
+    assert h.hexdigest() == "5d875fa7fb3154cdc95513816b268f3ee47ac8058d3271278443ea6c013ec959"
