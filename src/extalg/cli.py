@@ -9,8 +9,9 @@ Subcommands:
     verify-paper  run the built-in verification suite
 
 Output is byte-deterministic for fixed flags: no timestamps, and search
-node counts appear only behind --stats.  Exit codes: 0 success, 1 a
-verification or certification failure, 2 usage, parse, or document errors.
+node counts appear only behind --stats.  verify-paper prints the same bytes
+for every --jobs.  Exit codes: 0 success, 1 a verification or certification
+failure, 2 usage, parse, or document errors.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def cmd_maxdim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(upto_n=args.upto_n, seed=args.seed, budget=args.budget, l=args.l)
+    results = run_checks(upto_n=args.upto_n, seed=args.seed, budget=args.budget, l=args.l, jobs=args.jobs)
     failed = sum(r.status == "fail" for r in results)
     if args.json:
         _emit([r.to_dict() for r in results], True)
@@ -191,6 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, help="search node budget")
     p.add_argument("--l", type=int, default=1, help="distinguished index for star constructions")
+    p.add_argument("--jobs", type=int, help="worker processes (default: the usable CPUs; 1 runs in process)")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(fn=cmd_verify)
 

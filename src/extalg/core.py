@@ -25,9 +25,10 @@ so ops never look at a coefficient to learn a field.  A zero element mixes
 with elements over any field and takes any scalar.  Rational coefficients
 stay ints until a division (fields._inverse) makes a Fraction.
 
-Masks are built in two places: _indices_mask reads an index list for
-mask_of_indices and monomial, and _level_masks lists the masks whose size
-lies in a set of levels, for every grade, parity and level family.
+Masks are built in three places: _indices_mask reads an index list for
+mask_of_indices and monomial, _level_masks lists the masks whose size lies
+in a set of levels, for every grade, parity and level family, and
+_star_masks lists the masks through one index.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ def _level_masks(n, sizes) -> list:
     """The masks below 2^n whose size (bit count) lies in sizes, ascending."""
     sizes = set(sizes)
     return [m for m in range(1 << n) if m.bit_count() in sizes]
+
+
+def _star_masks(n, l) -> list:
+    """The masks below 2^n that hold index l, ascending."""
+    bit = 1 << (_check_int(l, "star element", 1, n) - 1)
+    return [m for m in range(1 << n) if m & bit]
 
 
 def mask_of_indices(n: int, indices) -> int:

@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .core import GrassmannElement, _check_int, _level_masks, unit, zero
+from .core import GrassmannElement, _check_int, _check_n, _level_masks, _star_masks, unit, zero
 from .fields import QQ
 from .setfamilies import odd_upper_levels, star
 from .subspace import (
@@ -140,10 +140,10 @@ def canonical_max_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     Even n: the even part plus every monomial through the point l.
     Odd n: upper_levels_commutative, the even part plus the odd levels
     above n/2, and for n = 4k+3 the star of (2k+1)-sets through l."""
+    _check_n(n)
     if n % 2:
         return upper_levels_commutative(n, l, field)
-    bit = 1 << (_check_int(l, "star element", 1, n) - 1)
-    return monomial_space(n, _level_masks(n, range(0, n + 1, 2)) + [m for m in range(1 << n) if m & bit], field)
+    return monomial_space(n, _level_masks(n, range(0, n + 1, 2)) + _star_masks(n, l), field)
 
 
 def upper_levels_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
@@ -151,6 +151,7 @@ def upper_levels_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
     plus a star level when n is 2 mod 4 or 3 mod 4.  For odd n this is
     canonical_max_commutative; for even n it is a maximal commutative
     subalgebra of the same dimension built from whole levels."""
+    _check_n(n)
     _check_int(l, "star element", 1, n)
     masks = set(_level_masks(n, range(0, n + 1, 2)))
     masks.update(odd_upper_levels(n).masks)

@@ -7,6 +7,13 @@ chain vs pivot read-off).  Checks are deterministic given (seed, budget)
 and report a short data-bearing detail string.  The CLI exposes the suite
 as the verify-paper subcommand; tests/test_acceptance.py groups the same
 anchors into its acceptance criteria.
+
+Each anchor seeds its own random stream and reports only its own detail,
+so the anchors are independent: run_checks hands them to forked worker
+processes, one per usable CPU by default, and returns their results in
+CHECKS order.  The results, and so verify-paper's output, are the same for
+every worker count; jobs=1 runs every anchor in this process, where a
+profiler can see the work.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import GrassmannElement, _check_int, _check_n, _element, _level_masks, monomial, unit, zero
+from .core import GrassmannElement, _check_int, _check_n, _element, _level_masks, _star_masks, monomial, unit, zero
 from .fields import QQ, PrimeField, _check_field
 from .setfamilies import (
     SetFamily,
@@ -708,8 +715,7 @@ def check_odd_maximal(ctx):
 def check_star_all_n(ctx):
     rows = []
     for n in _from_l(ctx, _ns(ctx, 2, 7)):
-        bit_masks = [m for m in range(1 << n) if m & (1 << (ctx.l - 1))]
-        a = even_space(n).sum(monomial_space(n, bit_masks))
+        a = even_space(n).sum(monomial_space(n, _star_masks(n, ctx.l)))
         if a.dim != 3 * 2 ** (n - 2):
             raise CheckFailure("star algebra at n=%d has dim %d" % (n, a.dim))
         if not is_maximal_commutative(a):
@@ -1022,28 +1028,115 @@ ACCEPTANCE = {
 }
 
 
-def run_checks(upto_n=7, seed=DEFAULT_SEED, budget=None, l=1, anchors=None) -> list:
-    """Run the suite (or the named anchors) and collect CheckResults.
+def _run_one(ctx, i) -> CheckResult:
+    anchor, fn = CHECKS[i]
+    try:
+        return CheckResult(anchor, "pass", fn(ctx))
+    except CheckSkip as e:
+        return CheckResult(anchor, "skip", str(e))
+    except CheckFailure as e:
+        return CheckResult(anchor, "fail", str(e))
+    except Exception as e:  # an unexpected crash is a failure with context
+        return CheckResult(anchor, "fail", "unexpected %s: %s" % (type(e).__name__, e))
 
-    upto_n must be at least 1, a budget at least 1, and the star index l in
-    1..upto_n; anything else is refused with ValueError before a check runs."""
+
+def _worker_count(jobs, selected) -> int:
+    """jobs, by default the CPUs this process may run on, capped at the
+    number of anchors selected."""
+    import os
+
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(jobs, selected)
+
+
+WORKER_DIED = "worker process exited before reporting this anchor"
+
+
+def _work(ctx, tasks, w):
+    """A forked worker: run each index read from tasks and write one JSON
+    line [i, anchor, status, detail] per result to w, then exit without
+    returning into the caller or running its exit handlers."""
+    import json
+    import os
+
+    try:
+        with open(w, "wb") as out:
+            while b := os.read(tasks, 2):
+                i = int.from_bytes(b, "big")
+                r = _run_one(ctx, i)
+                out.write(json.dumps([i, r.anchor, r.status, r.detail]).encode() + b"\n")
+                out.flush()
+    finally:
+        os._exit(0)
+
+
+def _run_forked(ctx, indices, workers) -> list:
+    """The anchors at indices, run by forked workers that take one index
+    at a time from a shared pipe; the results come back in the order of
+    indices, and an anchor whose worker died is a failure."""
+    import json
+    import os
+
+    tasks, w = os.pipe()
+    os.write(w, b"".join(i.to_bytes(2, "big") for i in indices))
+    os.close(w)
+    pids, reads, got = [], [], {}
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(ctx, tasks, w)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        while reads:
+            with open(reads.pop(0), "rb") as f:
+                for line in f.read().split(b"\n")[:-1]:
+                    i, anchor, status, detail = json.loads(line)
+                    got[i] = CheckResult(anchor, status, detail)
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for fd in [tasks] + reads:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [got.get(i) or CheckResult(CHECKS[i][0], "fail", WORKER_DIED) for i in indices]
+
+
+def run_checks(upto_n=7, seed=DEFAULT_SEED, budget=None, l=1, anchors=None, jobs=None) -> list:
+    """Run the suite (or the named anchors) and collect CheckResults in
+    CHECKS order.
+
+    upto_n must be at least 1, a budget at least 1, the star index l in
+    1..upto_n and jobs, the worker count, at least 1; anything else is
+    refused with ValueError before a check runs.  The default worker count
+    is the CPUs this process may run on.  The anchors run in this process
+    when there is one worker, when os.fork is missing, or when threads are
+    live (forking a threaded process can deadlock); the results are the
+    same for every worker count."""
+    import os
+    import sys
+
     _check_int(upto_n, "upto_n", 1)
     if budget is not None:
         _check_int(budget, "search budget", 1)
     _check_int(l, "star index l", 1, upto_n)
+    if jobs is not None:
+        _check_int(jobs, "jobs", 1)
     ctx = _Ctx(upto_n, seed, budget, l)
     wanted = set(anchors) if anchors is not None else None
-    out = []
-    for anchor, fn in CHECKS:
-        if wanted is not None and anchor not in wanted:
-            continue
-        try:
-            detail = fn(ctx)
-            out.append(CheckResult(anchor, "pass", detail))
-        except CheckSkip as e:
-            out.append(CheckResult(anchor, "skip", str(e)))
-        except CheckFailure as e:
-            out.append(CheckResult(anchor, "fail", str(e)))
-        except Exception as e:  # an unexpected crash is a failure with context
-            out.append(CheckResult(anchor, "fail", "unexpected %s: %s" % (type(e).__name__, e)))
-    return out
+    indices = [i for i, (anchor, _) in enumerate(CHECKS) if wanted is None or anchor in wanted]
+    workers = _worker_count(jobs, len(indices))
+    threading = sys.modules.get("threading")
+    if workers <= 1 or not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return [_run_one(ctx, i) for i in indices]
+    return _run_forked(ctx, indices, workers)

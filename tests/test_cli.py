@@ -296,8 +296,11 @@ def test_verify_paper_seed_changes_details_not_verdict(capsys):
         (["--l", "0"], "star index l"),
         (["--l", "8"], "star index l"),
         (["--upto-n", "3", "--l", "4"], "star index l"),
+        (["--jobs", "0"], "jobs"),
+        (["--jobs", "-1"], "jobs"),
     ],
-    ids=["upto-n-0", "upto-n-negative", "budget-0", "l-0", "l-beyond-default-n", "l-beyond-upto-n"],
+    ids=["upto-n-0", "upto-n-negative", "budget-0", "l-0", "l-beyond-default-n", "l-beyond-upto-n",
+         "jobs-0", "jobs-negative"],
 )
 def test_verify_paper_refuses_bad_arguments(capsys, argv, what):
     # refused before any anchor runs: exit 2, nothing on stdout
@@ -324,6 +327,23 @@ def test_verify_paper_skips_star_anchors_below_l(capsys):
     for anchor in ("even-canonical-maximal", "assemble-round-trip", "radical-invariant-n4", "radical-invariant-n6"):
         assert status[anchor] == "skip"
     assert status["odd-canonical-maximal"] == status["star-algebra-every-n"] == "pass"
+
+
+def test_verify_paper_refuses_a_jobs_that_is_not_an_int(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["verify-paper", "--jobs", "x"])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err and "--jobs" in out.err
+
+
+def test_verify_paper_prints_the_same_bytes_for_every_jobs(capsys):
+    # tests/test_verify.py compares run_checks across worker counts; this
+    # checks that --jobs reaches it
+    code, out, _ = run(capsys, "verify-paper", "--upto-n", "2", "--json")
+    assert code == 0
+    for jobs in ("1", "3"):
+        assert run(capsys, "verify-paper", "--upto-n", "2", "--json", "--jobs", jobs) == (0, out, "")
 
 
 def test_usage_errors_exit_2():

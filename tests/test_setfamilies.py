@@ -309,6 +309,17 @@ def test_level_masks_match_a_filter_over_every_mask(n):
     assert _level_masks(n, iter(range(1, n + 1, 2))) == filtered_masks(n, range(1, n + 1, 2))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_star_masks_are_the_masks_through_l_ascending(n):
+    from extalg.core import _star_masks, indices_of_mask
+
+    for l in range(1, n + 1):
+        assert _star_masks(n, l) == [m for m in range(1 << n) if l in indices_of_mask(m)]
+    for l in (0, n + 1, True, "1"):
+        with pytest.raises(ValueError, match="star element"):
+            _star_masks(n, l)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_level_builders_match_their_former_comprehensions(n):
     from extalg.subspace import even_space, grade_space, odd_space

@@ -130,6 +130,14 @@ def test_canonical_algebras():
         canonical_max_commutative(3, l=4)
 
 
+@pytest.mark.parametrize("n", [0, 17, 40, True, "4"])
+def test_canonical_builders_refuse_n_before_listing_masks(n):
+    # n = 40 would list 2^40 masks before any later check ran
+    for build in (canonical_max_commutative, upper_levels_commutative):
+        with pytest.raises(ValueError, match="number of generators"):
+            build(n)
+
+
 def test_canonical_algebra_is_maximal_at_n15():
     # a scale guard: back-substitution that scans every earlier row per
     # pivot takes this from a fraction of a second to tens of seconds
