@@ -12,6 +12,11 @@ Output is byte-deterministic for fixed flags: no timestamps, and search
 node counts appear only behind --stats.  verify-paper prints the same bytes
 for every --jobs.  Exit codes: 0 success, 1 a verification or certification
 failure, 2 usage, parse, or document errors.
+
+Importing this module loads no other extalg module; each subcommand
+imports what it runs when it runs.  eval loads core, fields and text;
+gamma adds subspace and setfamilies; analyze and maxdim add structure;
+only verify-paper loads verify.
 """
 
 from __future__ import annotations
@@ -19,13 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .fields import field_by_name
-from .setfamilies import SearchBudgetExceeded, max_odd_intersecting
-from .structure import analyze, max_commutative_dim
-from .subspace import initial_span, monomial_family, monomialize
-from .text import ParseError, parse_expression, print_element, read_subspace, write_subspace
-from .verify import DEFAULT_SEED, run_checks
 
 __all__ = ["main"]
 
@@ -36,6 +34,8 @@ def _fail_usage(msg: str) -> int:
 
 
 def _load_document(path: str):
+    from .text import read_subspace
+
     if path == "-":
         raw = sys.stdin.read()
     else:
@@ -49,6 +49,8 @@ def _load_document(path: str):
 
 
 def _parse_perm(text: str):
+    from .text import ParseError
+
     try:
         return [int(p) for p in text.split(",")]
     except ValueError:
@@ -63,6 +65,9 @@ def _emit(obj, compact: bool):
 
 
 def cmd_eval(args) -> int:
+    from .fields import field_by_name
+    from .text import parse_expression, print_element
+
     field = field_by_name(args.field)
     x = parse_expression(args.expr, args.n, field)
     if args.grade is not None:
@@ -78,6 +83,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    from .subspace import initial_span, monomial_family, monomialize
+    from .text import write_subspace
+
     d = _load_document(args.doc)
     order = _parse_perm(args.perm) if args.perm else None
     m = monomialize(d, order)
@@ -90,12 +98,30 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .structure import analyze
+
     d = _load_document(args.doc)
     _emit(analyze(d).to_dict(), args.json)
     return 0
 
 
 def cmd_maxdim(args) -> int:
+    if args.certify:
+        from .core import _check_n
+
+        _check_n(args.n)  # the search's own bound, checked before the formula runs
+    # the dimension at n is below 2^n, so it prints whenever 2^n < 10^limit:
+    # n <= 14284 at the default limit of 4300 digits, where n = 14285 no
+    # longer prints.  3.10 releases before 3.10.7 have no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    top = (10**limit).bit_length() - 1  # the largest n with 2^n < 10^limit
+    if limit and args.n > top:
+        return _fail_usage(
+            "n = %d is too large to print: maxdim accepts n <= %d under the int-to-str limit of %d digits"
+            % (args.n, top, limit)
+        )
+    from .structure import max_commutative_dim
+
     dim = max_commutative_dim(args.n)
     if not args.certify:
         if args.json:
@@ -103,6 +129,8 @@ def cmd_maxdim(args) -> int:
         else:
             print(dim)
         return 0
+    from .setfamilies import SearchBudgetExceeded, max_odd_intersecting
+
     try:
         res = max_odd_intersecting(args.n, budget=args.budget)
     except SearchBudgetExceeded as e:
@@ -138,7 +166,10 @@ def cmd_maxdim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(upto_n=args.upto_n, seed=args.seed, budget=args.budget, l=args.l, jobs=args.jobs)
+    from .verify import DEFAULT_SEED, run_checks
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_checks(upto_n=args.upto_n, seed=seed, budget=args.budget, l=args.l, jobs=args.jobs)
     failed = sum(r.status == "fail" for r in results)
     if args.json:
         _emit([r.to_dict() for r in results], True)
@@ -189,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
     p.add_argument("--upto-n", type=int, default=7, dest="upto_n", help="largest n to exercise")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int, help="search node budget")
     p.add_argument("--l", type=int, default=1, help="distinguished index for star constructions")
     p.add_argument("--jobs", type=int, help="worker processes (default: the usable CPUs; 1 runs in process)")

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -240,6 +241,46 @@ def test_maxdim_certifies_n9_within_a_budget(capsys):
 def test_maxdim_validation(capsys):
     code, _, err = run(capsys, "maxdim", "--n", "0")
     assert code == 2
+
+
+@pytest.fixture
+def default_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "14285"], "maxdim accepts n <= 14284 under the int-to-str limit of 4300 digits"),
+        (["--n", "20001"], "maxdim accepts n <= 14284"),
+        (["--n", "14285", "--json"], "maxdim accepts n <= 14284"),
+        (["--n", "20001", "--json"], "maxdim accepts n <= 14284"),
+        (["--n", "20001", "--certify"], "number of generators must be an int in 1..16, got 20001"),
+        (["--n", "17", "--certify", "--json"], "number of generators must be an int in 1..16, got 17"),
+    ],
+)
+def test_maxdim_refuses_before_the_formula_runs(capsys, monkeypatch, default_digit_limit, argv, message):
+    import extalg.structure as structure
+
+    def formula(n):
+        raise AssertionError("the formula ran for n = %d" % n)
+
+    monkeypatch.setattr(structure, "max_commutative_dim", formula)
+    code, out, err = run(capsys, "maxdim", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_maxdim_prints_the_largest_accepted_n(capsys, default_digit_limit):
+    code, out, _ = run(capsys, "maxdim", "--n", "14284", "--json")
+    assert code == 0
+    d = json.loads(out)
+    assert d["n"] == 14284 and len(str(d["dim"])) == 4300 and d["dim"] == 3 * 2**14282
 
 
 def test_verify_paper_small(capsys):
