@@ -219,7 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_maxdim)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
-    p.add_argument("--upto-n", type=int, default=7, dest="upto_n", help="largest n to exercise")
+    p.add_argument("--upto-n", type=int, default=7, dest="upto_n", help="largest n: each check runs at its own n's up "
+                   "to this, none above 8, and star checks from n = l; text-round-trip draws n up to min(8, upto-n + 2)")
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int, help="search node budget")
     p.add_argument("--l", type=int, default=1, help="distinguished index for star constructions")

@@ -8,6 +8,11 @@ and report a short data-bearing detail string.  The CLI exposes the suite
 as the verify-paper subcommand; tests/test_acceptance.py groups the same
 anchors into its acceptance criteria.
 
+One rule, _ns, picks each anchor's own n's up to upto_n, and from n = l
+for one built on the star index l.  None is above 8, so every upto_n >= 8
+gives the upto_n = 8 report.  The one exception is text-round-trip, which
+draws n up to min(8, upto_n + 2).
+
 Each anchor seeds its own random stream and reports only its own detail,
 so the anchors are independent: run_checks hands them to forked worker
 processes, one per usable CPU by default, and returns their results in
@@ -116,32 +121,23 @@ class _Ctx:
         return random.Random("%s:%s" % (self.seed, anchor))
 
 
-def _need(ctx, n):
-    if ctx.upto_n < n:
-        raise CheckSkip("needs n=%d, limited to %d" % (n, ctx.upto_n))
-
-
-def _ns(ctx, lo, hi):
-    out = [n for n in range(lo, hi + 1) if n <= ctx.upto_n]
-    if not out:
-        raise CheckSkip("needs n>=%d, limited to %d" % (lo, ctx.upto_n))
-    return out
-
-
-def _even_ns(ctx):
-    """The even n in 2, 4, 6 up to upto_n: the anchors on the even-n pairing."""
-    out = [n for n in (2, 4, 6) if n <= ctx.upto_n]
-    if not out:
-        raise CheckSkip("needs an even n <= %d" % ctx.upto_n)
-    return out
-
-
-def _from_l(ctx, ns):
-    """The ns at which an anchor built on the star index l can run: n >= l."""
-    out = [n for n in ns if n >= ctx.l]
-    if not out:
+def _ns(ctx, lo, hi=None, step=1, on_l=False):
+    """The n's an anchor runs at: lo, lo + step, ... up to hi (lo alone when
+    hi is None) that are at most upto_n and, for an anchor built on the star
+    index l, at least l.  When none is left the anchor skips, saying what it
+    needs: n>=lo for a run of n's, an even n for the even ones, lo itself for
+    a worked example (which may also run at hi), and n>=l for one on l."""
+    hi = lo if hi is None else hi
+    ns = [n for n in range(lo, hi + 1, step) if n <= ctx.upto_n]
+    if not ns:
+        if step == 1 and lo < hi:
+            raise CheckSkip("needs n>=%d, limited to %d" % (lo, ctx.upto_n))
+        if step == 2 and lo % 2 == 0:
+            raise CheckSkip("needs an even n <= %d" % ctx.upto_n)
+        raise CheckSkip("needs n=%d, limited to %d" % (lo, ctx.upto_n))
+    if on_l and ns[-1] < ctx.l:
         raise CheckSkip("needs n>=l=%d, given n in %r" % (ctx.l, ns))
-    return out
+    return [n for n in ns if n >= ctx.l] if on_l else ns
 
 
 # ---------------------------------------------------------------- generators
@@ -234,7 +230,7 @@ def random_shear(rng, n, field=QQ):
 # ------------------------------------------------------------------- checks
 
 def check_product_rules(ctx):
-    _need(ctx, 4)
+    _ns(ctx, 4)
     x = parse_element("v{1}+v{2,3}", 3)
     if print_element(x * x) != "2*v{1,2,3}":
         raise CheckFailure("square of v{1}+v{2,3} is %s" % print_element(x * x))
@@ -298,7 +294,7 @@ def check_substitution(ctx):
 def check_order_total(ctx):
     from .core import Monomial, compare_monomials
 
-    n = min(6, ctx.upto_n)
+    n = _ns(ctx, 1, 6)[-1]
     monos = [Monomial(n, m) for m in range(1 << n)]
     for a in monos:
         for b in monos:
@@ -506,7 +502,7 @@ def _catalog_space(name):
 
 
 def check_split_order_n2(ctx):
-    _need(ctx, 2)
+    _ns(ctx, 2)
     w = _catalog_space("split-order-n2")
     left = monomialize(w, [1, 2])
     right = monomialize(w, [2, 1])
@@ -520,7 +516,7 @@ def check_split_order_n2(ctx):
 
 
 def check_ideal_square_n4(ctx):
-    _need(ctx, 4)
+    _ns(ctx, 4)
     a = _catalog_space("ideal-square-n4")
     if a.dim != 6 or not (is_left_ideal(a) and is_right_ideal(a)):
         raise CheckFailure("input is not the expected 6-dimensional ideal")
@@ -542,7 +538,7 @@ def check_ideal_square_n4(ctx):
 
 
 def check_two_orders_n6(ctx):
-    _need(ctx, 6)
+    _ns(ctx, 6)
     d = _catalog_space("order-dependent-supports-n6")
     fam_id = monomial_supports(d)
     fam_swap = monomial_supports(d, [1, 2, 6, 4, 5, 3])
@@ -556,8 +552,7 @@ def check_two_orders_n6(ctx):
 
 
 def check_flag_chain_n5(ctx):
-    _need(ctx, 5)
-    n = 5
+    (n,) = _ns(ctx, 5)
     d = span([_element(n, QQ, dict.fromkeys(_level_masks(n, (k,)), QQ.one)) for k in range(1, n + 1)], n=n)
     rng = ctx.rng("flag")
     orders = [list(range(1, n + 1)), list(range(n, 0, -1))]
@@ -577,7 +572,7 @@ def check_flag_chain_n5(ctx):
 
 
 def check_three_squares_n3(ctx):
-    _need(ctx, 3)
+    _ns(ctx, 3)
     d = _catalog_space("three-squares-n3")
     canon = [print_element(b) for b in d.basis]
     if canon != ["v{1}", "v{1,2}+v{3}", "v{1,3}", "v{1,2,3}"]:
@@ -595,7 +590,7 @@ def check_three_squares_n3(ctx):
 
 
 def check_plucker_n4(ctx):
-    _need(ctx, 4)
+    _ns(ctx, 4)
     doc = CATALOG["plucker-witness-n4"]
     x = parse_element(doc["x"], doc["n"])
     defects = dict(plucker_defects(x))
@@ -630,7 +625,7 @@ def check_plucker_n4(ctx):
 
 
 def check_nongraded_n3(ctx):
-    _need(ctx, 4)
+    _ns(ctx, 4)
     doc = CATALOG["nongraded-square-n3"]
     x = parse_element(doc["x"], doc["n"])
     if print_element(x * x) != "2*v{1,2,3}":
@@ -685,7 +680,7 @@ def check_dimension_search(ctx):
 
 def check_even_maximal(ctx):
     sizes = []
-    for n in _from_l(ctx, _even_ns(ctx)):
+    for n in _ns(ctx, 2, 6, 2, on_l=True):
         a = canonical_max_commutative(n, ctx.l)
         if a.dim != 3 * 2 ** (n - 2):
             raise CheckFailure("canonical algebra at n=%d has dim %d" % (n, a.dim))
@@ -700,7 +695,7 @@ def check_even_maximal(ctx):
 
 def check_odd_maximal(ctx):
     rows = []
-    for n in _from_l(ctx, _ns(ctx, 1, 7)):
+    for n in _ns(ctx, 1, 7, on_l=True):
         if n % 2 == 0:
             continue
         a = canonical_max_commutative(n, ctx.l)
@@ -714,7 +709,7 @@ def check_odd_maximal(ctx):
 
 def check_star_all_n(ctx):
     rows = []
-    for n in _from_l(ctx, _ns(ctx, 2, 7)):
+    for n in _ns(ctx, 2, 7, on_l=True):
         a = even_space(n).sum(monomial_space(n, _star_masks(n, ctx.l)))
         if a.dim != 3 * 2 ** (n - 2):
             raise CheckFailure("star algebra at n=%d has dim %d" % (n, a.dim))
@@ -730,7 +725,7 @@ def check_star_all_n(ctx):
 
 
 def check_pairing_nondegenerate(ctx):
-    ns = _even_ns(ctx)
+    ns = _ns(ctx, 2, 6, 2)
     for n in ns:
         if not perp(odd_space(n)).is_zero():
             raise CheckFailure("pairing degenerate at n=%d" % n)
@@ -745,7 +740,7 @@ def check_pairing_nondegenerate(ctx):
 
 def check_assemble_round_trip(ctx):
     count = 0
-    for n in _from_l(ctx, _ns(ctx, 2, 6)):
+    for n in _ns(ctx, 2, 6, on_l=True):
         a = canonical_max_commutative(n, ctx.l)
         d = a.intersect(odd_space(n))
         if assemble(d) != a:
@@ -773,7 +768,7 @@ def check_ekr(ctx):
 
 
 def check_two_level(ctx):
-    _need(ctx, 5)
+    ns = _ns(ctx, 5, 7, 2)
     got = two_level_max(5, 1, budget=ctx.budget)
     if got != 10:
         raise CheckFailure("two-level maximum at (5,1) is %d" % got)
@@ -781,7 +776,7 @@ def check_two_level(ctx):
     level3 = SetFamily(5, _level_masks(5, (3,)))
     if tops != [level3]:
         raise CheckFailure("two-level maximizer is not uniquely the full upper level")
-    if ctx.upto_n >= 7:
+    if 7 in ns:
         got7 = two_level_max(7, 1, budget=ctx.budget)
         if got7 != math.comb(7, 5):
             raise CheckFailure("two-level maximum at (7,1) is %d" % got7)
@@ -789,7 +784,7 @@ def check_two_level(ctx):
 
 
 def check_complement_bound(ctx):
-    ns = _even_ns(ctx)
+    ns = _ns(ctx, 2, 6, 2)
     for n in ns:
         res = max_odd_intersecting(n, budget=ctx.budget)
         if res.size != 2 ** (n - 2):
@@ -798,12 +793,12 @@ def check_complement_bound(ctx):
 
 
 def check_maxima_catalog(ctx):
-    _need(ctx, 3)
+    ns = _ns(ctx, 3, 5, 2)
     tops3 = enumerate_max_odd_intersecting(3)
     want3 = [SetFamily.from_sets(3, [[x], [1, 2, 3]]) for x in (1, 2, 3)]
     if sorted(tops3, key=lambda f: f.masks) != sorted(want3, key=lambda f: f.masks):
         raise CheckFailure("n=3 maxima catalog is %r" % [f.to_sets() for f in tops3])
-    if ctx.upto_n >= 5:
+    if 5 in ns:
         tops5 = enumerate_max_odd_intersecting(5)
         if tops5 != [odd_upper_levels(5)]:
             raise CheckFailure("n=5 maximum is not uniquely the odd upper levels")
@@ -811,7 +806,7 @@ def check_maxima_catalog(ctx):
 
 
 def check_certificate_shape_n7(ctx):
-    _need(ctx, 7)
+    _ns(ctx, 7)
     res = max_odd_intersecting(7, budget=ctx.budget)
     if res.size != 37:
         raise CheckFailure("n=7 search size %d" % res.size)
@@ -830,8 +825,7 @@ def check_certificate_shape_n7(ctx):
 
 
 def check_radical_n4(ctx):
-    _need(ctx, 4)
-    _from_l(ctx, [4])
+    _ns(ctx, 4, on_l=True)
     a = canonical_max_commutative(4, ctx.l)
     b = upper_levels_commutative(4, ctx.l)
     da, db = radical_quotient_dim(a), radical_quotient_dim(b)
@@ -845,8 +839,7 @@ def check_radical_n4(ctx):
 
 
 def check_radical_n6(ctx):
-    _need(ctx, 6)
-    _from_l(ctx, [6])
+    _ns(ctx, 6, on_l=True)
     a = canonical_max_commutative(6, ctx.l)
     b = upper_levels_commutative(6, ctx.l)
     da, db = radical_quotient_dim(a), radical_quotient_dim(b)
@@ -878,7 +871,7 @@ def check_family_bridge(ctx):
 
 
 def check_linear_image(ctx):
-    _need(ctx, 4)
+    _ns(ctx, 4)
     h = hom_from_images(
         [
             parse_element("v{1}+v{2,3,4}", 4),
@@ -925,8 +918,9 @@ def check_text_roundtrip(ctx):
 
 def check_documents(ctx):
     rng = ctx.rng("documents")
+    ns = _ns(ctx, 1, 6)
     for _ in range(100):
-        n = rng.randint(1, min(6, ctx.upto_n))
+        n = rng.randint(ns[0], ns[-1])
         s = random_subspace(rng, n, max_dim=4)
         doc = write_subspace(s)
         again = read_subspace(doc)
@@ -1117,8 +1111,9 @@ def run_checks(upto_n=7, seed=DEFAULT_SEED, budget=None, l=1, anchors=None, jobs
     CHECKS order.
 
     upto_n must be at least 1, a budget at least 1, the star index l in
-    1..upto_n and jobs, the worker count, at least 1; anything else is
-    refused with ValueError before a check runs.  The default worker count
+    1..upto_n, jobs, the worker count, at least 1, and anchors a list of
+    names in CHECKS; anything else is refused with ValueError before a
+    check runs.  The default worker count
     is the CPUs this process may run on.  The anchors run in this process
     when there is one worker, when os.fork is missing, or when threads are
     live (forking a threaded process can deadlock); the results are the
@@ -1132,9 +1127,12 @@ def run_checks(upto_n=7, seed=DEFAULT_SEED, budget=None, l=1, anchors=None, jobs
     _check_int(l, "star index l", 1, upto_n)
     if jobs is not None:
         _check_int(jobs, "jobs", 1)
+    names = {anchor for anchor, _ in CHECKS}
+    wanted = names if anchors is None else set(anchors)
+    if isinstance(anchors, str) or not wanted <= names:
+        raise ValueError("anchors must be a list of names in CHECKS, not %r" % (anchors,))
     ctx = _Ctx(upto_n, seed, budget, l)
-    wanted = set(anchors) if anchors is not None else None
-    indices = [i for i, (anchor, _) in enumerate(CHECKS) if wanted is None or anchor in wanted]
+    indices = [i for i, (anchor, _) in enumerate(CHECKS) if anchor in wanted]
     workers = _worker_count(jobs, len(indices))
     threading = sys.modules.get("threading")
     if workers <= 1 or not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):

@@ -5,6 +5,7 @@ a traceback or a child process left behind."""
 import hashlib
 import json
 import os
+import re
 import signal
 import time
 
@@ -45,10 +46,31 @@ SERIAL_SEED_7 = {
 }
 
 
+def report_bytes(results):
+    """What verify-paper --json prints for these results."""
+    return (json.dumps([r.to_dict() for r in results], separators=(",", ":")) + "\n").encode()
+
+
 def report_digest(results):
     """The digest of verify-paper --json printing these results."""
-    out = json.dumps([r.to_dict() for r in results], separators=(",", ":")) + "\n"
-    return hashlib.sha256(out.encode()).hexdigest()
+    return hashlib.sha256(report_bytes(results)).hexdigest()
+
+
+# The anchors built on the star index l, and one SHA-256 over their seed-7
+# reports at every 1 <= l <= upto_n <= 8, in that order, recorded while four
+# helpers still chose the anchors' n's.  Both skip paths, n > upto_n and
+# n < l, are in these bytes.
+STAR_ANCHORS = ["even-canonical-maximal", "odd-canonical-maximal", "star-algebra-every-n",
+                "assemble-round-trip", "radical-invariant-n4", "radical-invariant-n6"]
+STAR_INDEX_DIGEST = "5d323e7194fb7fc061ffe78670904eee41b7f2ace766a85207124e43a586f337"
+
+
+def test_star_index_reports_are_pinned():
+    h = hashlib.sha256()
+    for upto_n in range(1, 9):
+        for l in range(1, upto_n + 1):
+            h.update(report_bytes(run_checks(upto_n, 7, l=l, anchors=STAR_ANCHORS, jobs=1)))
+    assert h.hexdigest() == STAR_INDEX_DIGEST
 
 
 @pytest.mark.parametrize("upto_n", range(1, 9))
@@ -77,6 +99,26 @@ def test_worker_count_is_capped_at_the_selected_anchors():
 def test_run_checks_refuses_a_bad_worker_count(jobs):
     with pytest.raises(ValueError, match="jobs"):
         run_checks(upto_n=1, jobs=jobs)
+
+
+@pytest.mark.parametrize("anchors, message", [
+    (["record", "product-rule"], "not ['record', 'product-rule']"),
+    ("product-rules", "not 'product-rules'"),
+])
+def test_run_checks_refuses_anchors_it_does_not_have_before_any_runs(monkeypatch, anchors, message):
+    ran = []
+    with_anchor(monkeypatch, "record", lambda ctx: ran.append(ctx) or "ran")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_checks(upto_n=4, anchors=anchors, jobs=1)
+    assert ran == []
+
+
+def test_run_checks_reads_the_anchor_names_at_call_time(monkeypatch):
+    with_anchor(monkeypatch, "added", lambda ctx: "ran")
+    assert [(r.anchor, r.detail) for r in run_checks(upto_n=4, anchors=["added"], jobs=1)] == [("added", "ran")]
+    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c[0] != "product-rules"])
+    with pytest.raises(ValueError, match="names in CHECKS"):
+        run_checks(upto_n=4, anchors=["added", "product-rules"], jobs=1)
 
 
 def test_an_unexpected_exception_reads_the_same_under_every_worker_count(monkeypatch):
