@@ -183,16 +183,19 @@ class StructureReport:
 def analyze(a: Subspace) -> StructureReport:
     graded = a.is_graded()
     sq = product_span(a, a)
-    commutative, maximal = _commutative_and_maximal(a, a.contains_space(even_space(a.n, a.field)))
+    has_even = a.contains_space(even_space(a.n, a.field))
+    subalgebra = a.contains_space(sq)
+    commutative, maximal = _commutative_and_maximal(a, has_even)
     return StructureReport(
         n=a.n,
         field=a.field.name,
         dim=a.dim,
         square_dim=sq.dim,
-        subalgebra=a.contains_space(sq),
+        subalgebra=subalgebra,
         commutative=commutative,
         square_zero=sq.is_zero(),
-        e0_submodule=is_e0_submodule(a),
+        # E_even in a and a*a in a give E_even*a in a, with no product span
+        e0_submodule=(has_even and subalgebra) or is_e0_submodule(a),
         maximal_commutative=maximal,
         graded=graded,
         monomial=a.is_monomial(),

@@ -14,13 +14,19 @@ into the coefficient.  A repeated index is an error, not zero.
 parse_expression extends the grammar with '*' products and parentheses for
 the command line calculator; documents only ever use the strict element
 grammar.  Every rejected text raises ParseError at the offending token,
-a number too long for int() included.
+a number too long for int() included.  parse_element reads a bare monic
+monomial in print_element's own form, v{i1,...,ik} with 1 <= i1 < ... <
+ik <= n and no spaces or leading zeros, with one regular-expression match
+and no tokenizer; every other text, such a match out of order or range
+included, takes the token parser.
 
 A subspace document is a JSON object {"n": int, "field": "rational"|"gf:p",
 "basis": [element strings]}.
 """
 
 from __future__ import annotations
+
+import re
 
 from .core import GrassmannElement, _check_n, _element, indices_of_mask
 from .fields import QQ, _check_field, field_by_name
@@ -187,8 +193,28 @@ class _Parser:
         return value
 
 
+# print_element's form of a monic monomial; indices of at most two digits
+# cover MAX_N = 16, and one with a leading zero takes the token parser
+_MONIC = re.compile(r"v\{([1-9][0-9]?(?:,[1-9][0-9]?)*)\}")
+
+
 def parse_element(text: str, n: int, field=QQ) -> GrassmannElement:
     """Strict element grammar; result is canonical (sorted, zero-free)."""
+    _check_n(n)
+    field = _check_field(field)
+    m = _MONIC.fullmatch(text) if isinstance(text, str) else None
+    if m:
+        mask = prev = 0
+        for idx in map(int, m[1].split(",")):
+            if idx <= prev:
+                break
+            mask |= 1 << (idx - 1)
+            prev = idx
+        else:
+            if prev <= n:
+                return _element(n, field, {mask: field.one})
+    # anything else, and an unsorted, repeated or out-of-range monomial,
+    # goes through the tokenizer, which says what is wrong and where
     p = _Parser(text, n, field)
     return p.finish(p.sum(p.term_strict))
 

@@ -695,9 +695,7 @@ def check_even_maximal(ctx):
 
 def check_odd_maximal(ctx):
     rows = []
-    for n in _ns(ctx, 1, 7, on_l=True):
-        if n % 2 == 0:
-            continue
+    for n in _ns(ctx, 1, 7, 2, on_l=True):
         a = canonical_max_commutative(n, ctx.l)
         if a.dim != max_commutative_dim(n):
             raise CheckFailure("canonical dim at n=%d is %d" % (n, a.dim))

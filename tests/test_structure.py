@@ -451,6 +451,37 @@ def test_analyze_fields_match_their_predicates():
         assert rep.maximal_commutative == is_maximal_commutative(b) == oracle_maximal_commutative(b)
 
 
+def e0_inference_sample():
+    """The monomial maximal algebras at n <= 8, their shears, E_even plus odd
+    vectors, random subspaces and one odd line, over QQ and GF(10007)."""
+    rng = random.Random("e0-inference")
+    out = []
+    for field in (QQ, PrimeField(10007)):
+        for n in range(1, 9):
+            c = canonical_max_commutative(n, field=field)
+            out += [c, upper_levels_commutative(n, field=field)]
+            out.append(assemble(star_space(n, 2 * ((n - 1) // 4) + 1, 1, field)))
+            if n <= 6:
+                out.append(random_shear(rng, n, field).apply_space(c))
+            odd = [e for e in odd_space(n, field).basis if e.degrees() != {1}]
+            out.append(even_space(n, field).sum(span(rng.sample(odd, min(2, len(odd))), n=n, field=field)))
+            out.append(random_subspace(rng, n, max_dim=4, field=field))
+            out.append(span([generator(n, 1, field)]))
+    return out
+
+
+def test_analyze_infers_e0_stability_only_for_subalgebras_holding_e_even():
+    # analyze reports e0_submodule without a product span when a holds E_even
+    # and is a subalgebra; everywhere else it must agree with the predicate
+    seen = set()
+    for a in e0_inference_sample():
+        got = analyze(a).e0_submodule
+        assert got == is_e0_submodule(a), a
+        seen.add((a.contains_space(even_space(a.n, a.field)), is_subalgebra(a), got))
+    # the inference's two premises apart, each without E_even-stability
+    assert {(True, True, True), (True, False, False), (False, True, False), (False, False, False)} <= seen
+
+
 def test_analyze_on_one_generator():
     # n = 1 has no degree-2 monomials: E_even is spanned by the unit alone
     for field in (QQ, PrimeField(3)):

@@ -7,6 +7,7 @@ import pytest
 
 from extalg.core import generator, monomial, unit, zero
 from extalg.fields import QQ, PrimeField
+from extalg import text as text_module
 from extalg.text import (
     ParseError,
     parse_element,
@@ -259,3 +260,59 @@ def test_parser_outcomes_are_pinned():
         for parse in (parse_element, parse_expression):
             h.update(("%s|%s\n" % (text, _outcome(parse, text, n, field))).encode())
     assert h.hexdigest() == "5d875fa7fb3154cdc95513816b268f3ee47ac8058d3271278443ea6c013ec959"
+
+
+def _token_parse(text, n, field):
+    p = text_module._Parser(text, n, field)
+    return p.finish(p.sum(p.term_strict))
+
+
+def _monomial_texts(rng, n):
+    """Strings around print_element's bare monomial v{i1,...,ik}: in form,
+    out of order, repeated, out of range, and near misses of the form."""
+    idx = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    body = ",".join(map(str, idx))
+    out = ["v{%s}" % body, "1*v{%s}" % body, "v{%s}" % body.replace(",", ", "), " v{%s}" % body,
+           "v{%s }" % body, "v{0%s}" % body, "v{%s,}" % body, "v{}", "v{\u0661}", "v{%d}" % rng.randint(100, 999),
+           "v{%d}" % rng.choice([0, n + 1, 17, 99]), "v{%s,%d}" % (body, rng.randint(n + 1, 99))]
+    if len(idx) > 1:
+        out += ["v{%s}" % ",".join(map(str, idx[::-1])), "v{%s}" % ",".join(map(str, idx[1:] + idx[:1]))]
+    out.append("v{%s,%d}" % (body, rng.choice(idx)))
+    return out
+
+
+def test_monomial_fast_path_matches_the_token_parser():
+    rng = random.Random("monomial-fast-path")
+    seen = set()
+    for field in (QQ, PrimeField(10007)):
+        for n in range(1, 17):
+            for _ in range(6):
+                for text in _monomial_texts(rng, n):
+                    got = _outcome(parse_element, text, n, field)
+                    assert got == _outcome(_token_parse, text, n, field), (text, n, field)
+                    seen.add(got.split("@")[0] if "@" in got else "element")
+    assert seen == {"element", "syntax", "range", "duplicate"}
+
+
+def _refusal(parse, *args):
+    with pytest.raises(Exception) as e:
+        parse(*args)
+    return type(e.value), str(e.value)
+
+
+def test_monomial_fast_path_keeps_the_refusals_of_other_arguments():
+    # a non-string text, and a bad n or field ahead of a text in the fast form
+    for args in ((5, 3, QQ), (None, 3, QQ), (b"v{1}", 3, QQ), (["v{1}"], 3, QQ),
+                 ("v{1}", 0, QQ), ("v{1}", 17, QQ), ("v{1}", True, QQ), ("v{1}", 3, "rational"), (5, 0, QQ)):
+        assert _refusal(parse_element, *args) == _refusal(_token_parse, *args), args
+
+
+def test_documents_of_monomials_skip_the_tokenizer(monkeypatch):
+    def refuse(text):
+        raise AssertionError("tokenized %r" % text)
+
+    doc = write_subspace(span([monomial(16, (1, 2, 16)), monomial(16, (3,)), monomial(16, (2, 5, 9, 10, 11))]))
+    monkeypatch.setattr(text_module, "_tokenize", refuse)
+    assert write_subspace(read_subspace(doc)) == doc
+    with pytest.raises(AssertionError):
+        parse_element("v{2,1}", 2)

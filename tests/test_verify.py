@@ -57,12 +57,12 @@ def report_digest(results):
 
 
 # The anchors built on the star index l, and one SHA-256 over their seed-7
-# reports at every 1 <= l <= upto_n <= 8, in that order, recorded while four
-# helpers still chose the anchors' n's.  Both skip paths, n > upto_n and
-# n < l, are in these bytes.
+# reports at every 1 <= l <= upto_n <= 8, in that order.  Both skip paths,
+# n > upto_n and n < l, are in these bytes, and odd-canonical-maximal skips
+# at (upto_n, l) = (2, 2), (4, 4) and (6, 6), where no odd n >= l is left.
 STAR_ANCHORS = ["even-canonical-maximal", "odd-canonical-maximal", "star-algebra-every-n",
                 "assemble-round-trip", "radical-invariant-n4", "radical-invariant-n6"]
-STAR_INDEX_DIGEST = "5d323e7194fb7fc061ffe78670904eee41b7f2ace766a85207124e43a586f337"
+STAR_INDEX_DIGEST = "71b9a694fd0be8f7531136139accd72207967e150b86a5ac2598bfedc01c8cfc"
 
 
 def test_star_index_reports_are_pinned():
@@ -71,6 +71,12 @@ def test_star_index_reports_are_pinned():
         for l in range(1, upto_n + 1):
             h.update(report_bytes(run_checks(upto_n, 7, l=l, anchors=STAR_ANCHORS, jobs=1)))
     assert h.hexdigest() == STAR_INDEX_DIGEST
+
+
+def test_odd_canonical_maximal_skips_when_no_odd_n_reaches_l():
+    for upto_n, odd in ((2, [1]), (4, [1, 3]), (6, [1, 3, 5])):
+        (r,) = run_checks(upto_n, 7, l=upto_n, anchors=["odd-canonical-maximal"], jobs=1)
+        assert (r.status, r.detail) == ("skip", "needs n>=l=%d, given n in %r" % (upto_n, odd))
 
 
 @pytest.mark.parametrize("upto_n", range(1, 9))
