@@ -106,40 +106,31 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_maxdim(args) -> int:
-    if args.certify:
-        from .core import _check_n
+    if args.certify:  # the search refuses n > 16 itself
+        from .setfamilies import SearchBudgetExceeded, max_odd_intersecting
 
-        _check_n(args.n)  # the search's own bound, checked before the formula runs
-    # the dimension at n is below 2^n, so it prints whenever 2^n < 10^limit:
-    # n <= 14284 at the default limit of 4300 digits, where n = 14285 no
-    # longer prints.  3.10 releases before 3.10.7 have no limit.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    top = (10**limit).bit_length() - 1  # the largest n with 2^n < 10^limit
-    if limit and args.n > top:
-        return _fail_usage(
-            "n = %d is too large to print: maxdim accepts n <= %d under the int-to-str limit of %d digits"
-            % (args.n, top, limit)
-        )
+        try:
+            res = max_odd_intersecting(args.n, budget=args.budget)
+        except SearchBudgetExceeded as e:
+            print("budget exhausted: best family found so far has size %d; raise --budget to finish"
+                  % e.partial.size, file=sys.stderr)
+            return 1
     from .structure import max_commutative_dim
 
-    dim = max_commutative_dim(args.n)
+    # 2^(n-1) < dim < 2^n, so an n past the bit length of 10^limit cannot print
+    # and the formula need not run; 3.10 releases before 3.10.7 have no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    cap = 10**limit
+    dim = cap if limit and args.n > cap.bit_length() else max_commutative_dim(args.n)
+    if limit and dim >= cap:
+        return _fail_usage("n = %d is too large to print: its dimension has more digits than the "
+                           "int-to-str limit of %d" % (args.n, limit))
     if not args.certify:
         if args.json:
             _emit({"n": args.n, "dim": dim}, True)
         else:
             print(dim)
         return 0
-    from .setfamilies import SearchBudgetExceeded, max_odd_intersecting
-
-    try:
-        res = max_odd_intersecting(args.n, budget=args.budget)
-    except SearchBudgetExceeded as e:
-        print(
-            "budget exhausted: best family found so far has size %d; raise --budget to finish"
-            % e.partial.size,
-            file=sys.stderr,
-        )
-        return 1
     searched = 2 ** (args.n - 1) + res.size
     ok = searched == dim
     if args.json:

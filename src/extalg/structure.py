@@ -119,19 +119,19 @@ def is_maximal_commutative(a: Subspace) -> bool:
 
 
 def max_commutative_dim(n: int) -> int:
-    """Dimension of the largest commutative subalgebra on n generators."""
+    """Dimension of the largest commutative subalgebra on n generators.
+
+    For odd n the paper sums 2^(n-1), C(n, m) over odd m > n/2, and
+    C(n-1, (n-3)/2) if n = 3 mod 4.  Pascal's rule C(n, m) = C(n-1, m-1) +
+    C(n-1, m) turns the odd-m sum into half of 2^(n-1) + C(n-1, (n-1)/2) if
+    n = 1 mod 4, and of 2^(n-1) - C(n-1, (n-1)/2) if n = 3 mod 4, where once
+    more it gives C(n-1, (n-3)/2) - C(n-1, (n-1)/2)/2 = C(n-2, (n+1)/2)."""
     _check_int(n, "n", 1)
     if n % 2 == 0:
         return 3 * 2 ** (n - 2)
     if n % 4 == 1:
-        k = (n - 1) // 4
-        return 2 ** (n - 1) + sum(math.comb(n, 2 * j + 1) for j in range(k, 2 * k + 1))
-    k = (n - 3) // 4
-    return (
-        2 ** (n - 1)
-        + math.comb(n - 1, 2 * k)
-        + sum(math.comb(n, 2 * j + 3) for j in range(k, 2 * k + 1))
-    )
+        return (3 * 2 ** (n - 1) + math.comb(n - 1, (n - 1) // 2)) // 2
+    return 3 * 2 ** (n - 2) + math.comb(n - 2, (n + 1) // 2)
 
 
 def canonical_max_commutative(n: int, l: int = 1, field=QQ) -> Subspace:
@@ -181,7 +181,10 @@ class StructureReport:
 
 
 def analyze(a: Subspace) -> StructureReport:
-    graded = a.is_graded()
+    try:
+        grade_dims = hilbert_series(a)
+    except ValueError:  # a is not graded
+        grade_dims = None
     sq = product_span(a, a)
     has_even = a.contains_space(even_space(a.n, a.field))
     subalgebra = a.contains_space(sq)
@@ -197,9 +200,9 @@ def analyze(a: Subspace) -> StructureReport:
         # E_even in a and a*a in a give E_even*a in a, with no product span
         e0_submodule=(has_even and subalgebra) or is_e0_submodule(a),
         maximal_commutative=maximal,
-        graded=graded,
+        graded=grade_dims is not None,
         monomial=a.is_monomial(),
-        grade_dims=hilbert_series(a) if graded else None,
+        grade_dims=grade_dims,
     )
 
 

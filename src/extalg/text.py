@@ -202,6 +202,11 @@ def parse_element(text: str, n: int, field=QQ) -> GrassmannElement:
     """Strict element grammar; result is canonical (sorted, zero-free)."""
     _check_n(n)
     field = _check_field(field)
+    return _element(n, field, _parse_terms(text, n, field))
+
+
+def _parse_terms(text, n, field) -> dict:
+    """parse_element's canonical term dict, for an n and field it has checked."""
     m = _MONIC.fullmatch(text) if isinstance(text, str) else None
     if m:
         mask = prev = 0
@@ -212,11 +217,11 @@ def parse_element(text: str, n: int, field=QQ) -> GrassmannElement:
             prev = idx
         else:
             if prev <= n:
-                return _element(n, field, {mask: field.one})
+                return {mask: field.one}
     # anything else, and an unsorted, repeated or out-of-range monomial,
     # goes through the tokenizer, which says what is wrong and where
     p = _Parser(text, n, field)
-    return p.finish(p.sum(p.term_strict))
+    return p.finish(p.sum(p.term_strict)).terms
 
 
 def parse_expression(text: str, n: int, field=QQ) -> GrassmannElement:
@@ -263,7 +268,7 @@ def _mono_str(mask: int) -> str:
 
 def read_subspace(doc: dict):
     """Build a Subspace from a document dict (already JSON-decoded)."""
-    from .subspace import span
+    from .subspace import _space
 
     if not isinstance(doc, dict):
         raise ValueError("subspace document must be a JSON object")
@@ -279,13 +284,13 @@ def read_subspace(doc: dict):
     basis = doc["basis"]
     if not isinstance(basis, list) or not all(isinstance(s, str) for s in basis):
         raise ValueError("document basis must be a list of strings")
-    vectors = []
+    rows = []
     for k, s in enumerate(basis):
         try:
-            vectors.append(parse_element(s, n, field))
+            rows.append(_parse_terms(s, n, field))
         except ParseError as e:
             raise ValueError("basis[%d]: %s" % (k, e)) from e
-    return span(vectors, n=n, field=field)
+    return _space(n, field, rows)
 
 
 def write_subspace(space) -> dict:

@@ -253,13 +253,16 @@ def default_digit_limit():
     sys.set_int_max_str_digits(old)
 
 
+TOO_LARGE = "is too large to print: its dimension has more digits than the int-to-str limit of 4300"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--n", "14285"], "maxdim accepts n <= 14284 under the int-to-str limit of 4300 digits"),
-        (["--n", "20001"], "maxdim accepts n <= 14284"),
-        (["--n", "14285", "--json"], "maxdim accepts n <= 14284"),
-        (["--n", "20001", "--json"], "maxdim accepts n <= 14284"),
+        (["--n", "20001"], "n = 20001 " + TOO_LARGE),
+        (["--n", "20001", "--json"], "n = 20001 " + TOO_LARGE),
+        (["--n", "1000000000"], "n = 1000000000 " + TOO_LARGE),
+        (["--n", "1000000000", "--json"], "n = 1000000000 " + TOO_LARGE),
         (["--n", "20001", "--certify"], "number of generators must be an int in 1..16, got 20001"),
         (["--n", "17", "--certify", "--json"], "number of generators must be an int in 1..16, got 17"),
     ],
@@ -274,6 +277,23 @@ def test_maxdim_refuses_before_the_formula_runs(capsys, monkeypatch, default_dig
     code, out, err = run(capsys, "maxdim", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--n", "14285"], ["--n", "14285", "--json"]])
+def test_maxdim_refuses_a_dimension_past_the_digit_limit(capsys, default_digit_limit, argv):
+    # 2^14284 < 10^4300, so only the formula can tell that n = 14285 does not print
+    code, out, err = run(capsys, "maxdim", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "n = 14285 " + TOO_LARGE in err
+
+
+def test_maxdim_accepts_exactly_what_prints_under_another_limit(capsys, default_digit_limit):
+    # the last n that prints under 642 digits; a bound from 2^n < 10^642 stops at n = 2132
+    sys.set_int_max_str_digits(642)
+    code, out, _ = run(capsys, "maxdim", "--n", "2133")
+    assert code == 0 and len(out.strip()) == 642
+    code, out, err = run(capsys, "maxdim", "--n", "2134")
+    assert code == 2 and out == "" and "int-to-str limit of 642" in err
 
 
 def test_maxdim_prints_the_largest_accepted_n(capsys, default_digit_limit):

@@ -115,6 +115,21 @@ def test_max_commutative_dim_refuses_bools_but_not_large_n():
     assert max_commutative_dim(17) > 2 ** 16
 
 
+def test_max_commutative_dim_equals_the_papers_sum():
+    # the paper's sum over odd levels, which the closed form replaces
+    def paper_sum(n):
+        if n % 2 == 0:
+            return 3 * 2 ** (n - 2)
+        if n % 4 == 1:
+            k = (n - 1) // 4
+            return 2 ** (n - 1) + sum(math.comb(n, 2 * j + 1) for j in range(k, 2 * k + 1))
+        k = (n - 3) // 4
+        return 2 ** (n - 1) + math.comb(n - 1, 2 * k) + sum(math.comb(n, 2 * j + 3) for j in range(k, 2 * k + 1))
+
+    for n in range(1, 1001):
+        assert max_commutative_dim(n) == paper_sum(n), n
+
+
 def test_dim_formula_against_search_oracle():
     for n in range(1, 7):
         res = max_odd_intersecting(n)

@@ -230,6 +230,19 @@ def test_document_validation():
             read_subspace({"n": 3, "field": tag, "basis": ["v{1}"]})
 
 
+def test_read_subspace_matches_the_span_of_parsed_elements():
+    # read_subspace checks n and the field once and echelons the term dicts
+    # itself; it must give the span of parse_element's elements
+    rng = random.Random(26)
+    pieces = ["v{%d}", "v{1,%d}", "v{%d,1}", "-v{%d}", "2*v{%d}+v{1}", "3/5*v{%d}", "0", "1"]
+    for field in (QQ, PrimeField(7)):
+        for n in (2, 5, 9):
+            basis = [rng.choice(pieces).replace("%d", str(rng.randint(2, n))) for _ in range(12)]
+            basis += basis[:3]  # repeated strings are dependent rows
+            s = read_subspace({"n": n, "field": field.name, "basis": basis})
+            assert s == span([parse_element(b, n, field) for b in basis], n=n, field=field)
+
+
 def test_document_empty_basis_is_zero_space():
     s = read_subspace({"n": 4, "field": "rational", "basis": []})
     assert s.dim == 0 and s.n == 4
