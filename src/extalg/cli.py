@@ -118,11 +118,12 @@ def cmd_maxdim(args) -> int:
     from .structure import max_commutative_dim
 
     # 2^(n-1) < dim < 2^n, so an n past the bit length of 10^limit cannot print
-    # and the formula need not run; 3.10 releases before 3.10.7 have no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # and the formula need not run; with no interpreter limit (0, or a 3.10
+    # release before 3.10.7) CPython's default of 4300 digits bounds n
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     cap = 10**limit
-    dim = cap if limit and args.n > cap.bit_length() else max_commutative_dim(args.n)
-    if limit and dim >= cap:
+    dim = cap if args.n > cap.bit_length() else max_commutative_dim(args.n)
+    if dim >= cap:
         return _fail_usage("n = %d is too large to print: its dimension has more digits than the "
                            "int-to-str limit of %d" % (args.n, limit))
     if not args.certify:

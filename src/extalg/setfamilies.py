@@ -1,24 +1,24 @@
 """Families of subsets of {1..n} and exact maximum intersecting searches.
 
-Members are bitmasks (index i on bit i-1); a family of whole levels or a
-star takes them from core._level_masks, in ascending mask order.  The
-searches are maximum clique computations on the graph whose vertices are
-candidate sets and whose edges join sets with nonempty intersection.
-Branch and bound, deterministic: vertices are tried in ascending mask
-order, the bound is the lesser of a greedy coloring count and a count of
-disjoint mated pairs, valid for any candidate set (see _CliqueSearch).
-The reported certificate is therefore the first maximum family in DFS
-order.  The walk keeps an explicit stack of the open nodes' candidate
-sets, so the clique size is not limited by Python's recursion limit.  A
-node budget caps the work; running out raises, it never degrades
-silently.
+Members are bitmasks (index i on bit i-1); a family of whole levels takes
+them from core._level_masks and a star from core._star_masks, in ascending
+mask order.  The searches are maximum clique computations on the graph
+whose vertices are candidate sets and whose edges join sets with nonempty
+intersection.  Branch and bound, deterministic: vertices are tried in
+ascending mask order, the bound is the lesser of a greedy coloring count
+and a count of disjoint mated pairs, valid for any candidate set (see
+_CliqueSearch).  The reported certificate is therefore the first maximum
+family in DFS order.  The walk keeps an explicit stack of the open nodes'
+candidate sets, so the clique size is not limited by Python's recursion
+limit.  A node budget caps the work; running out raises, it never
+degrades silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_int, _check_n, _level_masks, indices_of_mask, mask_of_indices
+from .core import _check_int, _check_n, _level_masks, _star_masks, indices_of_mask, mask_of_indices
 
 __all__ = [
     "SetFamily",
@@ -103,8 +103,7 @@ def odd_upper_levels(n: int) -> SetFamily:
 def star(n: int, k: int, l: int) -> SetFamily:
     """All k-sets through the point l."""
     _check_int(k, "degree", 0, n)
-    bit = 1 << (_check_int(l, "star element", 1, n) - 1)
-    return SetFamily(n, (m for m in _level_masks(n, (k,)) if m & bit))
+    return SetFamily(n, (m for m in _star_masks(n, l) if m.bit_count() == k))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,12 @@ span.  It is a maximal commutative subalgebra precisely when that odd part
 squares to zero and equals its own orthogonal space under the skew pairing
 (stability under E_even follows).  That criterion is what
 is_maximal_commutative checks.
+
+An algebra map of E(n) fixed by odd generator images is bijective exactly
+when its linear part, the images' degree-1 parts, has rank n: the images'
+other terms have degree >= 3, so the map keeps the filtration by degree and
+on the associated graded algebra it is the exterior power of its linear
+part.  is_bijective reads that n-row rank and multiplies out no monomial.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .core import GrassmannElement, _check_int, _check_n, _level_masks, _star_masks, unit, zero
+from .core import AmbientMismatch, GrassmannElement, _check_int, _check_n, _level_masks, _star_masks, unit, zero
 from .fields import QQ
 from .setfamilies import odd_upper_levels, star
 from .subspace import (
@@ -62,7 +68,7 @@ __all__ = [
 
 def _odd_parts(a: Subspace) -> Subspace:
     """Span of the basis vectors' odd parts: a's odd part if a contains E_even."""
-    return _space(a.n, a.field, [b.odd_part().terms for b in a.basis])
+    return _space(a.n, a.field, [{m: c for m, c in b.terms.items() if m.bit_count() & 1} for b in a.basis])
 
 
 def is_subalgebra(a: Subspace) -> bool:
@@ -224,7 +230,12 @@ def plucker_defects(x: GrassmannElement) -> list:
 
 
 class AlgebraHom:
-    """Algebra map fixed by generator images u_1..u_m (odd, anticommuting)."""
+    """Algebra map fixed by generator images u_1..u_m (odd, anticommuting).
+
+    It is bijective exactly when m = n and the images' degree-1 parts have
+    rank n: each image is its degree-1 part plus terms of degree >= 3, so on
+    the associated graded algebra the map is the exterior power of that
+    linear part."""
 
     def __init__(self, images, field=None):
         images = tuple(images)
@@ -256,13 +267,19 @@ class AlgebraHom:
         return acc
 
     def apply_space(self, a: Subspace) -> Subspace:
+        """Image of a subspace of E(n_source); refuses what apply refuses, and
+        a subspace of another n even when it is zero."""
+        if not isinstance(a, Subspace):
+            raise TypeError("expected a Subspace, got %r" % (a,))
+        if a.n != self.n_source:
+            raise AmbientMismatch("subspace from n=%d for a map from n=%d" % (a.n, self.n_source))
         return span([self.apply(b) for b in a.basis], n=self.n_target, field=self.field)
 
     def is_bijective(self) -> bool:
         if self.n_source != self.n_target:
             return False
-        vecs = [self._image_of_mask(m) for m in range(1 << self.n_source)]
-        return span(vecs, n=self.n_target, field=self.field).dim == 1 << self.n_source
+        linear = [{m: c for m, c in u.terms.items() if m.bit_count() == 1} for u in self.images]
+        return _space(self.n_target, self.field, linear).dim == self.n_source
 
 
 def hom_from_images(images, field=None) -> AlgebraHom:

@@ -303,6 +303,23 @@ def test_maxdim_prints_the_largest_accepted_n(capsys, default_digit_limit):
     assert d["n"] == 14284 and len(str(d["dim"])) == 4300 and d["dim"] == 3 * 2**14282
 
 
+def test_maxdim_keeps_the_default_bound_where_the_interpreter_has_no_limit(capsys, monkeypatch, default_digit_limit):
+    # with no limit the refusal falls back to CPython's default of 4300 digits
+    import extalg.structure as structure
+
+    sys.set_int_max_str_digits(0)
+    code, out, _ = run(capsys, "maxdim", "--n", "14284")
+    assert code == 0 and len(out.strip()) == 4300
+
+    def formula(n):
+        raise AssertionError("the formula ran for n = %d" % n)
+
+    monkeypatch.setattr(structure, "max_commutative_dim", formula)
+    code, out, err = run(capsys, "maxdim", "--n", "20001")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "n = 20001 " + TOO_LARGE in err
+
+
 def test_verify_paper_small(capsys):
     code, out, _ = run(capsys, "verify-paper", "--upto-n", "3")
     assert code == 0

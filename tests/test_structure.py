@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from extalg.core import AmbientMismatch, Monomial, generator, monomial, unit, zero
+from extalg.core import AmbientMismatch, GrassmannElement, Monomial, generator, indices_of_mask, monomial, unit, zero
 from extalg.fields import QQ, PrimeField
 from extalg.setfamilies import SetFamily, max_odd_intersecting, odd_upper_levels
 from extalg.structure import (
@@ -35,6 +35,7 @@ from extalg.subspace import (
     product_span,
     span,
     star_space,
+    zero_space,
 )
 from extalg.text import parse_element
 from extalg.verify import random_intersecting_odd_family, random_shear, random_subspace
@@ -377,6 +378,87 @@ def test_hom_refuses_images_outside_its_field():
     # a zero image lies over every field
     h = hom_from_images([zero(2), parse_element("v{1}", 2, f)])
     assert h.field == f and not h.is_bijective()
+
+
+def test_hom_apply_space_refuses_what_is_not_a_subspace_of_its_source():
+    f = PrimeField(5)
+    h = hom_from_images([generator(2, 1), generator(2, 2)])
+    for bad in (3, generator(2, 1), [generator(2, 1)], "v{1}"):
+        with pytest.raises(TypeError):
+            h.apply_space(bad)
+    for bad in (full_space(3), zero_space(3), zero_space(1, f)):
+        with pytest.raises(AmbientMismatch):
+            h.apply_space(bad)
+    with pytest.raises(AmbientMismatch):
+        h.apply_space(full_space(2, f))
+    # a zero subspace lies over every field, like a zero element
+    assert h.apply_space(zero_space(2, f)) == zero_space(2)
+    into = hom_from_images([elem("v{1,2,3}", 3)])  # E(1) into E(3)
+    assert into.apply_space(full_space(1)) == span([unit(3), elem("v{1,2,3}", 3)])
+    with pytest.raises(AmbientMismatch):
+        into.apply_space(zero_space(3))
+
+
+def oracle_bijective(h):
+    """The map is onto E(n) when the images of all 2^n monomials span it."""
+    if h.n_source != h.n_target:
+        return False
+    vecs = []
+    for mask in range(1 << h.n_source):
+        x = unit(h.n_target, h.field)
+        for i in indices_of_mask(mask):
+            x = x * h.images[i - 1]
+        vecs.append(x)
+    return span(vecs, n=h.n_target, field=h.field).dim == 1 << h.n_source
+
+
+def bijectivity_sample():
+    """Seeded maps over QQ, GF(3) and GF(5): sparse small linear parts, odd
+    corrections of degree >= 3, and now and then m != n generators."""
+    rng = random.Random(2027)
+    out = []
+    for t in range(2400):
+        field = (QQ, PrimeField(3), PrimeField(5))[t % 3]
+        n = rng.randint(1, 5)
+        m = n if rng.random() < 0.9 else rng.randint(1, 5)
+        odd_hi = [mask for mask in range(1 << n) if mask.bit_count() in (3, 5)]
+        images = []
+        for _ in range(m):
+            terms = {1 << j: field.coerce(rng.randint(-1, 2)) for j in range(n) if rng.random() < 0.5}
+            for mask in rng.sample(odd_hi, min(len(odd_hi), rng.randint(1, 2))):
+                terms[mask] = field.coerce(rng.randint(-2, 2))
+            images.append(GrassmannElement(n, {k: c for k, c in terms.items() if c}))
+        out.append(hom_from_images(images, field=field))
+    return out
+
+
+def test_is_bijective_matches_the_monomial_image_route():
+    seen = {True: 0, False: 0}
+    unequal = corrected = 0
+    for h in bijectivity_sample():
+        expected = oracle_bijective(h)
+        assert h.is_bijective() is expected, [str(u) for u in h.images]
+        seen[expected] += 1
+        unequal += h.n_source != h.n_target
+        corrected += any(m.bit_count() >= 3 for u in h.images for m in u.terms)
+    assert seen[True] >= 200 and seen[False] >= 200, seen
+    assert unequal >= 100 and corrected >= 1000, (unequal, corrected)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=lambda f: f.name)
+def test_random_shears_are_bijective_up_to_n16(field):
+    rng = random.Random("shear-bijective")
+    for n in range(1, 17):
+        assert random_shear(rng, n, field).is_bijective()
+
+
+def test_equal_linear_parts_make_an_n16_map_singular():
+    # the cubic corrections differ, but the linear part has rank 15
+    images = [elem("v{1}+v{2,3,4}", 16), elem("v{1}+v{5,6,7}", 16)]
+    images += [generator(16, i) for i in range(3, 17)]
+    assert not hom_from_images(images).is_bijective()
+    images[1] = elem("v{2}+v{5,6,7}", 16)
+    assert hom_from_images(images).is_bijective()
 
 
 # The predicates multiply by the algebra's generators and read the odd part off
