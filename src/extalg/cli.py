@@ -48,11 +48,18 @@ def _load_document(path: str):
     return read_subspace(doc)
 
 
+def integer(text: str) -> int:
+    """ASCII digits with an optional leading minus; int() also takes any Unicode digit and "_"."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError("not an ASCII integer: %r" % text)
+    return int(text)
+
+
 def _parse_perm(text: str):
     from .text import ParseError
 
     try:
-        return [int(p) for p in text.split(",")]
+        return [integer(p) for p in text.split(",")]
     except ValueError:
         raise ParseError("syntax", 0, "permutation must be comma-separated integers")
 
@@ -161,7 +168,7 @@ def cmd_verify(args) -> int:
     from .verify import DEFAULT_SEED, run_checks
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    results = run_checks(upto_n=args.upto_n, seed=seed, budget=args.budget, l=args.l, jobs=args.jobs)
+    results = run_checks(upto_n=args.upto_n, seed=seed, l=args.l, jobs=args.jobs)
     failed = sum(r.status == "fail" for r in results)
     if args.json:
         _emit([r.to_dict() for r in results], True)
@@ -182,10 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an element expression")
     p.add_argument("expr")
-    p.add_argument("--n", type=int, required=True, help="number of generators")
+    p.add_argument("--n", type=integer, required=True, help="number of generators")
     p.add_argument("--field", default="rational", help="rational or gf:p (p an odd prime)")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--grade", type=int, help="keep only the degree-k component")
+    g.add_argument("--grade", type=integer, help="keep only the degree-k component")
     g.add_argument("--even", action="store_true", help="keep the even-degree part")
     g.add_argument("--odd", action="store_true", help="keep the odd-degree part")
     g.add_argument("--initial", action="store_true", help="keep the initial term")
@@ -203,20 +210,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("maxdim", help="maximal commutative subalgebra dimension")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--certify", action="store_true", help="confirm the value by family search")
-    p.add_argument("--budget", type=int, help="search node budget")
+    p.add_argument("--budget", type=integer, help="search node budget")
     p.add_argument("--stats", action="store_true", help="also report search node counts")
     p.add_argument("--json", action="store_true", help="compact single-line JSON")
     p.set_defaults(fn=cmd_maxdim)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
-    p.add_argument("--upto-n", type=int, default=7, dest="upto_n", help="largest n: each check runs at its own n's up "
+    p.add_argument("--upto-n", type=integer, default=7, dest="upto_n", help="largest n: each check runs at its own n's up "
                    "to this, none above 8, and star checks from n = l; text-round-trip draws n up to min(8, upto-n + 2)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, help="search node budget")
-    p.add_argument("--l", type=int, default=1, help="distinguished index for star constructions")
-    p.add_argument("--jobs", type=int, help="worker processes (default: the usable CPUs; 1 runs in process)")
+    p.add_argument("--seed", type=integer)
+    p.add_argument("--l", type=integer, default=1, help="distinguished index for star constructions")
+    p.add_argument("--jobs", type=integer, help="worker processes (default: the usable CPUs; 1 runs in process)")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(fn=cmd_verify)
 

@@ -10,8 +10,8 @@ and a count of disjoint mated pairs, valid for any candidate set (see
 _CliqueSearch).  The reported certificate is therefore the first maximum
 family in DFS order.  The walk keeps an explicit stack of the open nodes'
 candidate sets, so the clique size is not limited by Python's recursion
-limit.  A node budget caps the work; running out raises, it never
-degrades silently.
+limit.  Searches whose input does not bound their work take a node budget
+and raise when it runs out; the enumerations' capped inputs need none.
 """
 
 from __future__ import annotations
@@ -269,20 +269,18 @@ def max_odd_intersecting(n: int, budget=None) -> SearchResult:
     return _CliqueSearch(n, all_odd_masks(n), budget).walk()
 
 
-def _all_maxima(n, cands, budget):
+def _all_maxima(n, cands):
     """Every maximum clique: find the maximum, then collect each clique of that size."""
-    search = _CliqueSearch(n, cands, budget)
-    top = search.walk()
-    search.nodes = 0
-    return search.walk(top.size)
+    search = _CliqueSearch(n, cands, None)
+    return search.walk(search.walk().size)
 
 
-def enumerate_max_odd_intersecting(n: int, budget=None) -> list:
+def enumerate_max_odd_intersecting(n: int) -> list:
     """Every maximum family, n <= 5 only (the catalog grows fast)."""
     _check_n(n)
     if n > 5:
         raise ValueError("maxima enumeration is supported for n <= 5 only")
-    return _all_maxima(n, all_odd_masks(n), budget)
+    return _all_maxima(n, all_odd_masks(n))
 
 
 def ekr_max(n: int, k: int, budget=None) -> int:
@@ -306,9 +304,9 @@ def two_level_max(n: int, i: int, budget=None) -> int:
     return _CliqueSearch(n, _two_level_cands(n, i), budget).walk().size
 
 
-def two_level_maxima(n: int, i: int, budget=None) -> list:
+def two_level_maxima(n: int, i: int) -> list:
     """All maximum two-level families; sized for small n only."""
     cands = _two_level_cands(n, i)
     if len(cands) > 40:
         raise ValueError("two-level maxima enumeration limited to 40 candidates")
-    return _all_maxima(n, cands, budget)
+    return _all_maxima(n, cands)

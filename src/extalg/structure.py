@@ -100,13 +100,13 @@ def is_right_ideal(x: Subspace) -> bool:
 
 
 def assemble(d: Subspace) -> Subspace:
-    """E_even + E_even*D + D; commutative subalgebra whenever D is an odd
-    subspace with square zero."""
+    """E_even + E_even*D + D, where E_even*D holds D (E_even holds the unit);
+    commutative subalgebra whenever D is an odd subspace with square zero."""
     for b in d.basis:
         if not b.is_odd():
             raise ValueError("assemble expects a subspace of the odd part")
     e0 = even_space(d.n, d.field)
-    return e0.sum(product_span(e0, d)).sum(d)
+    return e0.sum(product_span(e0, d))
 
 
 def _commutative_and_maximal(a: Subspace, has_even: bool) -> tuple:

@@ -3,8 +3,8 @@
 Every check replays one verifiable claim: a worked example with frozen
 expected output, a law tested on seeded random inputs, or a quantity
 computed along two independent routes (closed formula vs search, split
-chain vs pivot read-off).  Checks are deterministic given (seed, budget)
-and report a short data-bearing detail string.  The CLI exposes the suite
+chain vs pivot read-off).  Checks are deterministic given the seed and
+report a short data-bearing detail string.  The CLI exposes the suite
 as the verify-paper subcommand; tests/test_acceptance.py groups the same
 anchors into its acceptance criteria.
 
@@ -111,10 +111,9 @@ class CheckSkip(Exception):
 
 
 class _Ctx:
-    def __init__(self, upto_n, seed, budget, l):
+    def __init__(self, upto_n, seed, l):
         self.upto_n = upto_n
         self.seed = seed
-        self.budget = budget
         self.l = l
 
     def rng(self, anchor):
@@ -665,7 +664,7 @@ def check_dimension_table(ctx):
 def check_dimension_search(ctx):
     rows = []
     for n in _ns(ctx, 1, 7):
-        res = max_odd_intersecting(n, budget=ctx.budget)
+        res = max_odd_intersecting(n)
         if not is_intersecting(res.family) or not is_odd_family(res.family):
             raise CheckFailure("certificate at n=%d is not an intersecting odd family" % n)
         if len(res.family) != res.size:
@@ -743,7 +742,7 @@ def check_assemble_round_trip(ctx):
         d = a.intersect(odd_space(n))
         if assemble(d) != a:
             raise CheckFailure("assemble does not rebuild the canonical algebra at n=%d" % n)
-        res = max_odd_intersecting(n, budget=ctx.budget)
+        res = max_odd_intersecting(n)
         built = assemble(family_space(res.family))
         if built.dim != max_commutative_dim(n):
             raise CheckFailure("assembled certificate at n=%d has dim %d" % (n, built.dim))
@@ -757,7 +756,7 @@ def check_ekr(ctx):
     rows = []
     for n in _ns(ctx, 2, 8):
         for k in range(1, n // 2 + 1):
-            got = ekr_max(n, k, budget=ctx.budget)
+            got = ekr_max(n, k)
             want = math.comb(n - 1, k - 1)
             if got != want:
                 raise CheckFailure("level search n=%d k=%d gave %d, wanted %d" % (n, k, got, want))
@@ -767,15 +766,15 @@ def check_ekr(ctx):
 
 def check_two_level(ctx):
     ns = _ns(ctx, 5, 7, 2)
-    got = two_level_max(5, 1, budget=ctx.budget)
+    got = two_level_max(5, 1)
     if got != 10:
         raise CheckFailure("two-level maximum at (5,1) is %d" % got)
-    tops = two_level_maxima(5, 1, budget=ctx.budget)
+    tops = two_level_maxima(5, 1)
     level3 = SetFamily(5, _level_masks(5, (3,)))
     if tops != [level3]:
         raise CheckFailure("two-level maximizer is not uniquely the full upper level")
     if 7 in ns:
-        got7 = two_level_max(7, 1, budget=ctx.budget)
+        got7 = two_level_max(7, 1)
         if got7 != math.comb(7, 5):
             raise CheckFailure("two-level maximum at (7,1) is %d" % got7)
     return "two-level max 10 at (5,1) with the full upper level as unique maximizer"
@@ -784,7 +783,7 @@ def check_two_level(ctx):
 def check_complement_bound(ctx):
     ns = _ns(ctx, 2, 6, 2)
     for n in ns:
-        res = max_odd_intersecting(n, budget=ctx.budget)
+        res = max_odd_intersecting(n)
         if res.size != 2 ** (n - 2):
             raise CheckFailure("even-side bound not tight at n=%d (%d)" % (n, res.size))
     return "complement pairing bound 2^(n-2) is attained at n in %r" % (ns,)
@@ -805,7 +804,7 @@ def check_maxima_catalog(ctx):
 
 def check_certificate_shape_n7(ctx):
     _ns(ctx, 7)
-    res = max_odd_intersecting(7, budget=ctx.budget)
+    res = max_odd_intersecting(7)
     if res.size != 37:
         raise CheckFailure("n=7 search size %d" % res.size)
     upper = set(odd_upper_levels(7).masks)
@@ -1104,24 +1103,20 @@ def _run_forked(ctx, indices, workers) -> list:
     return [got.get(i) or CheckResult(CHECKS[i][0], "fail", WORKER_DIED) for i in indices]
 
 
-def run_checks(upto_n=7, seed=DEFAULT_SEED, budget=None, l=1, anchors=None, jobs=None) -> list:
+def run_checks(upto_n=7, seed=DEFAULT_SEED, l=1, anchors=None, jobs=None) -> list:
     """Run the suite (or the named anchors) and collect CheckResults in
     CHECKS order.
 
-    upto_n must be at least 1, a budget at least 1, the star index l in
-    1..upto_n, jobs, the worker count, at least 1, and anchors a list of
-    names in CHECKS; anything else is refused with ValueError before a
-    check runs.  The default worker count
-    is the CPUs this process may run on.  The anchors run in this process
-    when there is one worker, when os.fork is missing, or when threads are
-    live (forking a threaded process can deadlock); the results are the
-    same for every worker count."""
+    upto_n must be at least 1, the star index l in 1..upto_n, jobs (the
+    worker count, by default the usable CPUs) at least 1, and anchors a list
+    of names in CHECKS; anything else is refused with ValueError before a
+    check runs.  The anchors run in this process when there is one worker,
+    when os.fork is missing, or when threads are live (forking a threaded
+    process can deadlock); the results are the same for every worker count."""
     import os
     import sys
 
     _check_int(upto_n, "upto_n", 1)
-    if budget is not None:
-        _check_int(budget, "search budget", 1)
     _check_int(l, "star index l", 1, upto_n)
     if jobs is not None:
         _check_int(jobs, "jobs", 1)
@@ -1129,7 +1124,7 @@ def run_checks(upto_n=7, seed=DEFAULT_SEED, budget=None, l=1, anchors=None, jobs
     wanted = names if anchors is None else set(anchors)
     if isinstance(anchors, str) or not wanted <= names:
         raise ValueError("anchors must be a list of names in CHECKS, not %r" % (anchors,))
-    ctx = _Ctx(upto_n, seed, budget, l)
+    ctx = _Ctx(upto_n, seed, l)
     indices = [i for i, (anchor, _) in enumerate(CHECKS) if anchor in wanted]
     workers = _worker_count(jobs, len(indices))
     threading = sys.modules.get("threading")

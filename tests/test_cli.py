@@ -116,6 +116,10 @@ def test_gamma_bad_perm(capsys, tmp_path):
     assert code == 2
     code, out, err = run(capsys, "gamma", path, "--perm", "1,x")
     assert code == 2 and out == "" and "comma-separated integers" in err
+    # the entries are ASCII integers, as every CLI integer is
+    for perm in ("\u0662,1", "1_0", " 2,1", "2, 1"):
+        code, out, err = run(capsys, "gamma", path, "--perm", perm)
+        assert code == 2 and out == "" and "comma-separated integers" in err, perm
 
 
 @pytest.mark.parametrize("command", ["gamma", "analyze"])
@@ -370,14 +374,13 @@ def test_verify_paper_seed_changes_details_not_verdict(capsys):
     [
         (["--upto-n", "0"], "upto_n"),
         (["--upto-n", "-3"], "upto_n"),
-        (["--budget", "0"], "budget"),
         (["--l", "0"], "star index l"),
         (["--l", "8"], "star index l"),
         (["--upto-n", "3", "--l", "4"], "star index l"),
         (["--jobs", "0"], "jobs"),
         (["--jobs", "-1"], "jobs"),
     ],
-    ids=["upto-n-0", "upto-n-negative", "budget-0", "l-0", "l-beyond-default-n", "l-beyond-upto-n",
+    ids=["upto-n-0", "upto-n-negative", "l-0", "l-beyond-default-n", "l-beyond-upto-n",
          "jobs-0", "jobs-negative"],
 )
 def test_verify_paper_refuses_bad_arguments(capsys, argv, what):
@@ -413,6 +416,47 @@ def test_verify_paper_refuses_a_jobs_that_is_not_an_int(capsys):
     assert e.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "error:" in out.err and "--jobs" in out.err
+
+
+@pytest.mark.parametrize("budget", ["0", "5"])
+def test_verify_paper_has_no_budget(capsys, budget):
+    # the anchors' own inputs bound their searches, so the flag is gone
+    # and argparse refuses it before any anchor runs
+    with pytest.raises(SystemExit) as e:
+        cli.main(["verify-paper", "--budget", budget])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--budget" in out.err
+
+
+def test_integer_is_ascii_digits_with_an_optional_minus():
+    assert [cli.integer(t) for t in ("0", "7", "-5", "0012", "-0")] == [0, 7, -5, 12, 0]
+    for text in ("", "-", "+1", "--1", " 1", "1 ", "1_0", "\u0662", "\u00b2", "1.0", "0x1"):
+        with pytest.raises(ValueError):
+            cli.integer(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--n", "\u0663", "v{3}"],
+    ["eval", "--n", "3", "--grade", "\u0661", "v{1}"],
+    ["verify-paper", "--upto-n", "\u0667"],
+    ["verify-paper", "--seed", "1_0", "--upto-n", "1"],
+    ["verify-paper", "--l", " 1"],
+    ["verify-paper", "--jobs", "\u00b2"],
+    ["maxdim", "--n", "\uff13"],
+    ["maxdim", "--n", "3", "--certify", "--budget", "1_000"],
+], ids=["eval-n", "eval-grade", "upto-n", "seed", "l", "jobs", "maxdim-n", "maxdim-budget"])
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid integer value" in out.err
+
+
+def test_a_negative_seed_still_runs(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--seed", "-5", "--upto-n", "2")
+    assert code == 0 and out.endswith("0 failed, 20 skipped\n")
 
 
 def test_verify_paper_prints_the_same_bytes_for_every_jobs(capsys):

@@ -132,6 +132,41 @@ def test_ground_size_refused_before_the_search_graph():
         two_level_maxima(9, 1)
 
 
+def walk_nodes(monkeypatch):
+    """The node count of every _CliqueSearch walk from here on, in order."""
+    seen = []
+    walk = _CliqueSearch.walk
+
+    def counted(self, target=None):
+        before = self.nodes
+        try:
+            return walk(self, target)
+        finally:
+            seen.append(self.nodes - before)
+
+    monkeypatch.setattr(_CliqueSearch, "walk", counted)
+    return seen
+
+
+def test_every_enumeration_walk_is_small(monkeypatch):
+    # the inputs the enumerations accept bound their work, so they take no
+    # budget: every walk, the maximising one and the collecting one, stays
+    # under 100 nodes (42 at most today)
+    seen = walk_nodes(monkeypatch)
+    for n in range(1, 6):
+        assert enumerate_max_odd_intersecting(n)
+    assert two_level_maxima(5, 1) and two_level_maxima(7, 1)
+    assert len(seen) == 14
+    assert max(seen) < 100
+
+
+def test_enumerations_take_no_budget():
+    with pytest.raises(TypeError):
+        enumerate_max_odd_intersecting(5, budget=1)
+    with pytest.raises(TypeError):
+        two_level_maxima(5, 1, budget=1)
+
+
 def test_enumerate_maxima_n3():
     tops = enumerate_max_odd_intersecting(3)
     want = [SetFamily.from_sets(3, [[x], [1, 2, 3]]) for x in (1, 2, 3)]

@@ -5,7 +5,7 @@ import pytest
 
 from extalg.core import AmbientMismatch, GrassmannElement, Monomial, generator, indices_of_mask, monomial, unit, zero
 from extalg.fields import QQ, PrimeField
-from extalg.setfamilies import SetFamily, max_odd_intersecting, odd_upper_levels
+from extalg.setfamilies import SetFamily, all_odd_masks, max_odd_intersecting, odd_upper_levels
 from extalg.structure import (
     analyze,
     assemble,
@@ -37,7 +37,7 @@ from extalg.subspace import (
     star_space,
     zero_space,
 )
-from extalg.text import parse_element
+from extalg.text import parse_element, write_subspace
 from extalg.verify import random_intersecting_odd_family, random_shear, random_subspace
 
 
@@ -98,6 +98,30 @@ def test_assemble_closes_under_e0():
     a = assemble(d)
     assert is_subalgebra(a) and is_commutative(a)
     assert a.contains(elem("v{1,2,3}", 4))
+
+
+def test_assemble_matches_the_three_term_sum():
+    # E_even holds the unit, so E_even*D already holds D and assemble drops
+    # the former "+ D"; the reduced echelon basis is unique, so the old
+    # three-term sum gives the same basis, square-zero D or not
+    rng = random.Random(20261020)
+    kinds = {True: 0, False: 0}
+    for field in (QQ, PrimeField(3), PrimeField(10007)):
+        for n in range(1, 7):
+            odd = all_odd_masks(n)
+            for _ in range(3):
+                fam = family_space(random_intersecting_odd_family(rng, n, max_size=6), field)
+                ds = [
+                    random_subspace(rng, n, max_dim=4, field=field, masks=odd),
+                    random_shear(rng, n, field).apply_space(fam),
+                ]
+                for d in ds:
+                    e0 = even_space(n, field)
+                    old = e0.sum(product_span(e0, d)).sum(d)
+                    new = assemble(d)
+                    assert new.basis == old.basis and write_subspace(new) == write_subspace(old)
+                    kinds[is_square_zero(d)] += 1
+    assert kinds[True] >= 60 and kinds[False] >= 20, kinds
 
 
 def test_max_commutative_dim_table():

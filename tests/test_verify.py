@@ -200,3 +200,29 @@ def test_threads_keep_the_anchors_in_process(monkeypatch):
     assert not t.is_alive()
     assert {r.anchor: r.detail for r in results}["pid"] == str(os.getpid())
     assert {r.anchor: r.detail for r in run_checks(upto_n=2, anchors=anchors, jobs=2)}["pid"] != str(os.getpid())
+
+
+SEARCH_ANCHORS = ["dimension-search-match", "assemble-round-trip", "one-level-maxima", "two-level-maxima",
+                  "complement-bound-tight", "maxima-catalog-small-n", "certificate-shape-n7"]
+
+
+def test_every_anchor_search_is_far_below_the_default_budget(monkeypatch):
+    # the anchors' inputs bound their searches, so run_checks takes no
+    # budget: at upto_n = 8, where every anchor reaches its largest n, and
+    # at every star index, no walk reaches 1,000 nodes (757 today, ekr_max(8, 3))
+    from test_setfamilies import walk_nodes
+
+    seen = walk_nodes(monkeypatch)
+    for l in range(1, 9):
+        for anchor in SEARCH_ANCHORS:
+            seen.clear()
+            (r,) = run_checks(8, 7, l=l, anchors=[anchor], jobs=1)
+            # assemble-round-trip, built on l, skips once l passes its n's
+            assert r.status == "pass" or (r.status == "skip" and l > 6), (l, r)
+            assert bool(seen) == (r.status == "pass"), (l, anchor)
+            assert max(seen, default=0) < 1000, (l, anchor, max(seen))
+
+
+def test_run_checks_takes_no_budget():
+    with pytest.raises(TypeError):
+        run_checks(upto_n=1, budget=1)
