@@ -58,10 +58,14 @@ def integer(text: str) -> int:
 def _parse_perm(text: str):
     from .text import ParseError
 
-    try:
-        return [integer(p) for p in text.split(",")]
-    except ValueError:
-        raise ParseError("syntax", 0, "permutation must be comma-separated integers")
+    order, pos = [], 0
+    for entry in text.split(","):
+        try:
+            order.append(integer(entry))
+        except ValueError:
+            raise ParseError("syntax", pos, "permutation must be comma-separated integers") from None
+        pos += len(entry) + 1
+    return order
 
 
 def _emit(obj, compact: bool):
@@ -94,7 +98,7 @@ def cmd_gamma(args) -> int:
     from .text import write_subspace
 
     d = _load_document(args.doc)
-    order = _parse_perm(args.perm) if args.perm else None
+    order = None if args.perm is None else _parse_perm(args.perm)
     m = monomialize(d, order)
     fam = monomial_family(m)
     out = {"subspace": write_subspace(m), "family": fam.to_sets(), "dim": m.dim}
@@ -113,6 +117,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_maxdim(args) -> int:
+    for flag, given in (("--budget", args.budget is not None), ("--stats", args.stats)):
+        if given and not args.certify:
+            return _fail_usage("%s needs --certify" % flag)
     if args.certify:  # the search refuses n > 16 itself
         from .setfamilies import SearchBudgetExceeded, max_odd_intersecting
 
@@ -133,35 +140,21 @@ def cmd_maxdim(args) -> int:
     if dim >= cap:
         return _fail_usage("n = %d is too large to print: its dimension has more digits than the "
                            "int-to-str limit of %d" % (args.n, limit))
-    if not args.certify:
-        if args.json:
-            _emit({"n": args.n, "dim": dim}, True)
-        else:
-            print(dim)
-        return 0
-    searched = 2 ** (args.n - 1) + res.size
-    ok = searched == dim
+    out, lines = {"n": args.n, "dim": dim}, [str(dim)]
+    if args.certify:
+        searched = 2 ** (args.n - 1) + res.size
+        out.update(search_dim=searched, family_size=res.size, family=res.family.to_sets(),
+                   certified=searched == dim)
+        lines.append("certified: 2^%d + %d = %d" % (args.n - 1, res.size, dim) if out["certified"]
+                     else "MISMATCH: search gives %d, formula gives %d" % (searched, dim))
+    if args.stats:
+        out["nodes"] = res.nodes
+        lines.append("nodes: %d" % res.nodes)
     if args.json:
-        out = {
-            "n": args.n,
-            "dim": dim,
-            "search_dim": searched,
-            "family_size": res.size,
-            "family": res.family.to_sets(),
-            "certified": ok,
-        }
-        if args.stats:
-            out["nodes"] = res.nodes
         _emit(out, True)
     else:
-        print(dim)
-        if ok:
-            print("certified: 2^%d + %d = %d" % (args.n - 1, res.size, dim))
-        else:
-            print("MISMATCH: search gives %d, formula gives %d" % (searched, dim))
-        if args.stats:
-            print("nodes: %d" % res.nodes)
-    return 0 if ok else 1
+        print("\n".join(lines))
+    return 0 if out.get("certified", True) else 1
 
 
 def cmd_verify(args) -> int:
@@ -212,8 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxdim", help="maximal commutative subalgebra dimension")
     p.add_argument("--n", type=integer, required=True)
     p.add_argument("--certify", action="store_true", help="confirm the value by family search")
-    p.add_argument("--budget", type=integer, help="search node budget")
-    p.add_argument("--stats", action="store_true", help="also report search node counts")
+    p.add_argument("--budget", type=integer, help="search node budget (needs --certify)")
+    p.add_argument("--stats", action="store_true", help="also report the search node count (needs --certify)")
     p.add_argument("--json", action="store_true", help="compact single-line JSON")
     p.set_defaults(fn=cmd_maxdim)
 

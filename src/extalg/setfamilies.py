@@ -179,7 +179,6 @@ class _CliqueSearch:
                 self.mate[a], self.mate[b] = b, a
                 self.low |= 1 << min(a, b)
         self.nodes = 0
-        self.best_size = 0
         self.best = []
 
     def _color_count(self, p):
@@ -210,7 +209,7 @@ class _CliqueSearch:
 
     def result(self):
         fam = SetFamily(self.n, [self.cands[v] for v in self.best])
-        return SearchResult(size=self.best_size, family=fam, nodes=self.nodes)
+        return SearchResult(size=len(self.best), family=fam, nodes=self.nodes)
 
     def walk(self, target=None):
         """Depth-first branch and bound on an explicit stack.
@@ -219,13 +218,16 @@ class _CliqueSearch:
         With the maximum size as target, return every clique of that size.
         floor is the best size so far, or target - 1: a node deeper than floor
         becomes the best or is collected, and a node is expanded only while
-        depth + bound > floor.  Each open node is one int, its candidates not
-        yet tried: taking the lowest, v, drops it there, and the child's
-        candidates are the rest that meet v.  top, the root's bound, caps
-        every clique, so a maximising walk stops once the best reaches it;
-        the first maximum is already the best then, so only nodes are saved."""
+        depth + bound > floor.  A nonempty candidate set bounds at least 1,
+        so a node at depth >= floor with candidates left is expanded without
+        computing its bound, and a first dive computes only the root's.  Each
+        open node is one int, its candidates not yet tried: taking the
+        lowest, v, drops it there, and the child's candidates are the rest
+        that meet v.  top, the root's bound, caps every clique, so a
+        maximising walk stops once the best reaches it; the first maximum is
+        already the best then, so only nodes are saved."""
         adj, bound = self.adj, self._bound
-        floor = self.best_size if target is None else target - 1
+        floor = len(self.best) if target is None else target - 1
         found, clique, open_nodes = [], [], []
         p = (1 << len(self.cands)) - 1
         top = bound(p) if p else 0
@@ -236,13 +238,13 @@ class _CliqueSearch:
             depth = len(clique)
             if depth > floor:
                 if target is None:
-                    floor = self.best_size = depth
+                    floor = depth
                     self.best = list(clique)
                     if depth >= top:
                         return self.result()
                 else:
                     found.append(SetFamily(self.n, [self.cands[v] for v in clique]))
-            open_nodes.append(p if p and depth + (bound(p) if clique else top) > floor else 0)
+            open_nodes.append(p if p and (depth >= floor or depth + (bound(p) if clique else top) > floor) else 0)
             while open_nodes:
                 p = open_nodes[-1]
                 if p and len(clique) + p.bit_count() > floor:

@@ -114,8 +114,11 @@ def test_gamma_bad_perm(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "gamma", path, "--perm", "1")
     assert code == 2
-    code, out, err = run(capsys, "gamma", path, "--perm", "1,x")
-    assert code == 2 and out == "" and "comma-separated integers" in err
+    # the refusal points at the first bad entry; an empty --perm is refused, not read as the identity
+    for perm, pos in (("1,x", 2), ("x,1", 0), ("12,3,", 5), ("2,1,,", 4), ("", 0)):
+        code, out, err = run(capsys, "gamma", path, "--perm", perm)
+        assert code == 2 and out == ""
+        assert "parse error at position %d: permutation must be comma-separated integers" % pos in err, perm
     # the entries are ASCII integers, as every CLI integer is
     for perm in ("\u0662,1", "1_0", " 2,1", "2, 1"):
         code, out, err = run(capsys, "gamma", path, "--perm", perm)
@@ -240,6 +243,25 @@ def test_maxdim_certifies_n9_within_a_budget(capsys):
     code, out, _ = run(capsys, "maxdim", "--n", "9", "--certify", "--budget", "100000", "--json")
     assert code == 0 and json.loads(out)["certified"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == "a8b6808c9e01bf3d46300abd5825d0c8b25a4fe5fe6503092b22a4b51bb6b152"
+
+
+@pytest.mark.parametrize("flag", [["--budget", "3"], ["--stats"]], ids=["budget", "stats"])
+def test_maxdim_refuses_search_flags_without_certify(capsys, flag):
+    code, out, err = run(capsys, "maxdim", "--n", "5", *flag)
+    assert code == 2 and out == "" and err == "error: %s needs --certify\n" % flag[0]
+
+
+@pytest.mark.parametrize("stats", [[], ["--stats"]], ids=["plain", "stats"])
+def test_maxdim_certify_json_and_text_agree(capsys, stats):
+    for n in range(1, 9):
+        argv = ["maxdim", "--n", str(n), "--certify"] + (["--budget", "100"] if n == 8 else []) + stats
+        code, out, _ = run(capsys, *argv, "--json")
+        code_text, text, _ = run(capsys, *argv)
+        d = json.loads(out)
+        lines = text.splitlines()
+        assert code == code_text == 0 and d["certified"] is True
+        assert lines[:2] == [str(d["dim"]), "certified: 2^%d + %d = %d" % (n - 1, d["family_size"], d["dim"])]
+        assert lines[2:] == (["nodes: %d" % d["nodes"]] if stats else []) and ("nodes" in d) == bool(stats)
 
 
 def test_maxdim_validation(capsys):

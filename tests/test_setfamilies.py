@@ -117,6 +117,23 @@ def test_search_counters_pinned():
     assert (e.value.partial.size, e.value.partial.nodes) == (32, 51)
 
 
+def test_the_first_dive_computes_no_bound(monkeypatch):
+    # a node at depth >= floor with candidates left is expanded without its
+    # bound, which is at least 1; at n = 12 the first dive is the whole walk,
+    # so the root's bound is the only one computed
+    calls = []
+    bound = _CliqueSearch._bound
+
+    def counted(self, p):
+        calls.append(p)
+        return bound(self, p)
+
+    monkeypatch.setattr(_CliqueSearch, "_bound", counted)
+    res = max_odd_intersecting(12, budget=4096)
+    assert (res.size, res.nodes) == (1024, 1025)
+    assert calls == [(1 << len(all_odd_masks(12))) - 1]
+
+
 def test_ground_size_refused_before_the_search_graph():
     with pytest.raises(ValueError):
         max_odd_intersecting(17, budget=1)
