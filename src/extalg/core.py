@@ -29,6 +29,11 @@ Masks are built in three places: _indices_mask reads an index list for
 mask_of_indices and monomial, _level_masks lists the masks whose size lies
 in a set of levels, for every grade, parity and level family, and
 _star_masks lists the masks through one index.
+
+Term dicts are summed in one place, _fold (acc += c * terms in place);
+only the product (_mul_terms) and the echelon (subspace._eliminate) keep
+loops of their own.  Sums, differences, the parser's terms and an algebra
+map's images all fold into one dict, so a k-term sum costs O(k).
 """
 
 from __future__ import annotations
@@ -226,6 +231,25 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return acc
 
 
+def _fold(acc: dict, terms: dict, c=1) -> dict:
+    """acc += c * terms in place, for a nonzero scalar c; a sum that comes to
+    zero is dropped.  Returns acc."""
+    scaled = c != 1
+    for m, x in terms.items():
+        if scaled:
+            x = c * x
+        s = acc.get(m)
+        if s is None:
+            acc[m] = x
+        else:
+            s = s + x
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    return acc
+
+
 def _element(n: int, field, terms: dict):
     """Element on canonical terms: masks below 2^n, nonzero, all in field."""
     x = object.__new__(GrassmannElement)
@@ -241,13 +265,18 @@ class GrassmannElement:
     __slots__ = ("n", "field", "terms")
 
     def __init__(self, n: int, terms=None):
-        """The field is read off the coefficients (QQ when there are none)."""
+        """terms is a dict mask -> coefficient, or None for zero; the field is
+        read off the coefficients (QQ when there are none)."""
         _check_n(n)
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, dict):
+            raise TypeError("terms must be a dict mask -> coefficient, got %r" % (terms,))
         self.n = n
         clean = {}
         top = 1 << n
         field = None
-        for mask, c in (terms or {}).items():
+        for mask, c in terms.items():
             if type(mask) is not int or not 0 <= mask < top:
                 raise ValueError("term mask %r out of range for n=%d" % (mask, n))
             f = field_of(c)
@@ -302,18 +331,7 @@ class GrassmannElement:
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         field = self._check_same(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m)
-            if s is None:
-                acc[m] = c
-            else:
-                s = s + c
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-        return _element(self.n, field, acc)
+        return _element(self.n, field, _fold(dict(self.terms), other.terms))
 
     def __neg__(self):
         return _element(self.n, self.field, {m: -c for m, c in self.terms.items()})
@@ -321,7 +339,8 @@ class GrassmannElement:
     def __sub__(self, other):
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return self.__add__(-other)
+        field = self._check_same(other)
+        return _element(self.n, field, _fold(dict(self.terms), other.terms, -1))
 
     def scale(self, c):
         c = _scalar(c, self.field, self.terms)

@@ -27,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .core import AmbientMismatch, GrassmannElement, _check_int, _check_n, _level_masks, _star_masks, unit, zero
+from .core import AmbientMismatch, GrassmannElement, _check_int, _check_n, _element, _fold, _level_masks, _star_masks, unit
 from .fields import QQ
 from .setfamilies import odd_upper_levels, star
 from .subspace import (
@@ -261,10 +261,10 @@ class AlgebraHom:
     def apply(self, x: GrassmannElement) -> GrassmannElement:
         """Image of an element of E(n_source) over the map's field."""
         _field_of((x,), self.n_source, self.field)
-        acc = zero(self.n_target)
+        acc = {}
         for mask, c in x.terms.items():
-            acc = acc + self._image_of_mask(mask).scale(c)
-        return acc
+            _fold(acc, self._image_of_mask(mask).terms, c)
+        return _element(self.n_target, self.field, acc)
 
     def apply_space(self, a: Subspace) -> Subspace:
         """Image of a subspace of E(n_source); refuses what apply refuses, and

@@ -18,7 +18,10 @@ a number too long for int() included.  parse_element reads a bare monic
 monomial in print_element's own form, v{i1,...,ik} with 1 <= i1 < ... <
 ik <= n and no spaces or leading zeros, with one regular-expression match
 and no tokenizer; every other text, such a match out of order or range
-included, takes the token parser.
+included, takes the token parser.  The parser's rules return term dicts
+(mask -> coefficient): a sum folds each signed term into one dict with
+core._fold, a product multiplies dicts with core._mul_terms, and one
+element is built per expression, so a k-term sum reads in O(k).
 
 A subspace document is a JSON object {"n": int, "field": "rational"|"gf:p",
 "basis": [element strings]}.
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import re
 
-from .core import GrassmannElement, _check_n, _element, indices_of_mask
+from .core import GrassmannElement, _check_n, _element, _fold, _mul_terms, indices_of_mask
 from .fields import QQ, _check_field, field_by_name
 
 __all__ = [
@@ -75,6 +78,11 @@ def _tokenize(text: str):
             raise ParseError("syntax", i, "unexpected character %r" % ch)
     toks.append(("end", "", len(text)))
     return toks
+
+
+def _term(mask, c) -> dict:
+    """One term's dict; a zero coefficient gives no term."""
+    return {mask: c} if c else {}
 
 
 class _Parser:
@@ -134,11 +142,8 @@ class _Parser:
             seen |= bit
             if self.peek()[0] == "}":
                 self.take()
-                return self._term(seen, -c if inv & 1 else c)
+                return _term(seen, -c if inv & 1 else c)
             self.take(",", "expected ',' or '}' in index list")
-
-    def _term(self, mask, c):
-        return _element(self.n, self.field, {mask: c} if c else {})
 
     def term_strict(self):
         if self.peek()[0] != "num":
@@ -149,22 +154,21 @@ class _Parser:
             self.take()
             if self.peek()[:2] == ("num", "1"):
                 self.take()
-                return self._term(0, c)
+                return _term(0, c)
             return self.monomial(c, "expected a monomial after '*'")
         if kind == "v":
             return self.monomial(c)
-        return self._term(0, c)
+        return _term(0, c)
 
     def sum(self, term_fn):
-        sign = self.take()[0] if self.peek()[0] in "+-" else "+"
-        acc = term_fn()
-        if sign == "-":
-            acc = -acc
-        while self.peek()[0] in "+-":
+        """Every term folded into one dict, so a k-term sum costs O(k)."""
+        op = self.take()[0] if self.peek()[0] in "+-" else "+"
+        acc = {}
+        while True:
+            _fold(acc, term_fn(), -1 if op == "-" else 1)
+            if self.peek()[0] not in "+-":
+                return acc
             op = self.take()[0]
-            t = term_fn()
-            acc = acc - t if op == "-" else acc + t
-        return acc
 
     # calculator grammar: factors chained by '*' or juxtaposition, parens
     def factor(self):
@@ -175,7 +179,7 @@ class _Parser:
             self.take(")", "expected ')'")
             return inner
         if kind == "num":
-            return self._term(0, self.coeff())
+            return _term(0, self.coeff())
         return self.monomial(self.field.one, "expected a factor")
 
     def term_calc(self):
@@ -186,7 +190,7 @@ class _Parser:
                 self.take()
             elif kind not in ("num", "v", "("):
                 return acc
-            acc = acc * self.factor()
+            acc = _mul_terms(acc, self.factor())
 
     def finish(self, value):
         self.take("end", "trailing input")
@@ -221,14 +225,14 @@ def _parse_terms(text, n, field) -> dict:
     # anything else, and an unsorted, repeated or out-of-range monomial,
     # goes through the tokenizer, which says what is wrong and where
     p = _Parser(text, n, field)
-    return p.finish(p.sum(p.term_strict)).terms
+    return p.finish(p.sum(p.term_strict))
 
 
 def parse_expression(text: str, n: int, field=QQ) -> GrassmannElement:
     """Element grammar plus '*' products and parentheses (CLI calculator)."""
     p = _Parser(text, n, field)
     try:
-        return p.finish(p.sum(p.term_calc))
+        return _element(p.n, p.field, p.finish(p.sum(p.term_calc)))
     except RecursionError:
         raise ParseError("syntax", p.peek()[2], "expression nested too deeply") from None
 

@@ -8,6 +8,7 @@ from extalg.core import (
     AmbientMismatch,
     GrassmannElement,
     Monomial,
+    _element,
     compare_monomials,
     generator,
     monomial,
@@ -398,3 +399,61 @@ def test_integer_arguments_refuse_bools_and_non_ints(call, bad, good):
     with pytest.raises(ValueError):
         call(bad)
     call(good)
+
+
+def test_constructor_refuses_terms_that_are_not_a_dict():
+    for bad in ([(1, 2)], 0, [], "", (), 1.5, "v{1}"):
+        with pytest.raises(TypeError):
+            GrassmannElement(3, bad)
+    assert GrassmannElement(3) == GrassmannElement(3, None) == GrassmannElement(3, {}) == zero(3)
+    assert GrassmannElement(3, None).field is QQ
+
+
+def sum_per_element(a, b):
+    """a + b as __add__ summed it before the one fold: a copy of a's terms,
+    then b's terms one at a time, under the field rule of _check_same."""
+    field = a._check_same(b)
+    acc = dict(a.terms)
+    for m, c in b.terms.items():
+        s = acc.get(m)
+        if s is None:
+            acc[m] = c
+        else:
+            s = s + c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    return _element(a.n, field, acc)
+
+
+def same_element(x, y):
+    """Equal terms in the same order and the same field, zero results included."""
+    return x.n == y.n and x.field is y.field and list(x.terms.items()) == list(y.terms.items())
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(10007)], ids=lambda f: f.name)
+def test_difference_and_sum_match_the_element_sums_they_replace(field):
+    from extalg.verify import random_element
+
+    rng = random.Random("fold-" + field.name)
+    other = PrimeField(5) if field is not PrimeField(5) else QQ
+    zeros = (zero(3), monomial(3, (1,), 0, other), monomial(3, (1,), 0, field))
+    cancelled = 0
+    for _ in range(300):
+        a = random_element(rng, 3, field, max_terms=6)
+        b = random_element(rng, 3, field, max_terms=6)
+        if field is QQ:
+            a, b = a / rng.randint(1, 3), b / rng.randint(1, 3)  # Fractions beside ints
+        if rng.random() < 0.3:
+            b = b + a  # shares a's masks, so a - b cancels some
+        pairs = [(a, b), (b, a), (a, a)] + [(z, a) for z in zeros] + [(a, z) for z in zeros]
+        for x, y in pairs:
+            assert same_element(x - y, sum_per_element(x, -y)), (x, y)
+            assert same_element(x + y, sum_per_element(x, y)), (x, y)
+        cancelled += any(m in b.terms and m not in (a - b).terms for m in a.terms)
+    assert cancelled > 30
+    # two zero operands: the field is the second's, as _check_same says
+    for z1 in zeros:
+        for z2 in zeros:
+            assert same_element(z1 - z2, sum_per_element(z1, -z2)) and (z1 - z2).field is z2.field

@@ -38,7 +38,8 @@ from extalg.subspace import (
     zero_space,
 )
 from extalg.text import parse_element, write_subspace
-from extalg.verify import random_intersecting_odd_family, random_shear, random_subspace
+from extalg.verify import random_element, random_intersecting_odd_family, random_shear, random_subspace
+from test_core import same_element, sum_per_element
 
 
 def elem(s, n):
@@ -335,6 +336,61 @@ def test_hom_is_multiplicative():
         assert h.apply(a * b) == h.apply(a) * h.apply(b)
         assert h.apply(a + b) == h.apply(a) + h.apply(b)
     assert h.apply(unit(3)) == unit(3)
+
+
+def apply_per_element(h, x):
+    """h.apply(x) as it was summed before the one fold: zero() plus one scaled
+    image per term, each added as an element."""
+    acc = zero(h.n_target)
+    for mask, c in x.terms.items():
+        acc = sum_per_element(acc, h._image_of_mask(mask).scale(c))
+    return acc
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(10007)], ids=lambda f: f.name)
+def test_hom_apply_matches_the_element_sum_it_replaces(field):
+    """Seeded shears, and seeded maps with random odd images, whose terms can
+    cancel.  A nonzero image keeps the terms, their order and the field; a zero one is
+    zero over the map's field, where the element sum labelled an empty result
+    QQ after its zero() start (zero mixes with every field)."""
+    rng = random.Random("apply-fold-" + field.name)
+    other = PrimeField(5)
+    cancelled = 0
+    for n in range(1, 7):
+        odd = all_odd_masks(n)
+        maps = [random_shear(rng, n, field)]
+        maps.append(hom_from_images([random_element(rng, n, field, max_terms=3, masks=odd) for _ in range(n)], field))
+        for h in maps:
+            xs = [zero(n), monomial(n, (1,), 0, other)]
+            for _ in range(20):
+                x = random_element(rng, n, field, max_terms=8)
+                xs.append(x / rng.randint(1, 3) if field is QQ else x)
+            for x in xs:
+                got, want = h.apply(x), apply_per_element(h, x)
+                if want:
+                    assert same_element(got, want), (x, got, want)
+                else:
+                    assert not got and got.field is h.field
+                    cancelled += bool(x)
+    assert cancelled > 0
+
+
+def test_hom_apply_builds_no_element_per_term(monkeypatch):
+    rng = random.Random("apply-no-elements")
+    cases = []
+    for field in (QQ, PrimeField(5)):
+        h = random_shear(rng, 5, field)
+        for _ in range(5):
+            x = random_element(rng, 5, field, max_terms=12)
+            cases.append((h, x, apply_per_element(h, x)))
+
+    def refuse(*args):
+        raise AssertionError("an element was built per term")
+
+    for name in ("__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(GrassmannElement, name, refuse)
+    for h, x, want in cases:
+        assert h.apply(x) == want
 
 
 def test_hom_bijectivity():

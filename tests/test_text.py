@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from extalg.core import generator, monomial, unit, zero
+from extalg.core import _element, generator, monomial, unit, zero
 from extalg.fields import QQ, PrimeField
 from extalg import text as text_module
 from extalg.text import (
@@ -243,6 +243,36 @@ def test_read_subspace_matches_the_span_of_parsed_elements():
             assert s == span([parse_element(b, n, field) for b in basis], n=n, field=field)
 
 
+def test_sums_are_read_without_an_element_per_term(monkeypatch):
+    """The parser folds every term into one term dict, so neither grammar
+    adds, subtracts or negates elements; signs, fractions, unsorted indices
+    and repeated masks that cancel all go through the fold."""
+    from extalg.core import GrassmannElement
+
+    def refuse(*args):
+        raise AssertionError("an element was built per term")
+
+    for name in ("__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(GrassmannElement, name, refuse)
+    f5 = PrimeField(5)
+    for text, field, printed in (
+        ("-v{1}+2*v{2,1}-3/2*v{1,2}+v{3}-v{3} + 1", QQ, "1-v{1}-7/2*v{1,2}"),
+        ("3*v{1}-v{2}+2*v{1}+v{2,1}+v{1,2} - 4", f5, "1+4*v{2}"),
+        ("- 1/2 + v{3,2,1} - 2/4 v{1}", f5, "2+2*v{1}+4*v{1,2,3}"),
+        ("-v{3} + v{3}", QQ, "0"),
+    ):
+        assert print_element(parse_element(text, 3, field)) == printed, text
+        assert print_element(parse_expression(text, 3, field)) == printed, text
+    for text, field, printed in (
+        ("(v{1}+v{2})*(v{1}-v{2}) - 2*v{3}*v{1} + v{1,3}", QQ, "-2*v{1,2}+3*v{1,3}"),
+        ("-(v{1}+2)(v{2}-3) + 6", f5, "2+3*v{1}+3*v{2}+4*v{1,2}"),
+    ):
+        assert print_element(parse_expression(text, 3, field)) == printed, text
+    for field in (QQ, f5):
+        doc = {"n": 3, "field": field.name, "basis": ["v{1}+v{2}-v{2,1}+v{1,2}", "2*v{2} - v{1} + v{1}", "v{3}-v{3}"]}
+        assert write_subspace(read_subspace(doc))["basis"] == ["v{1}+2*v{1,2}", "v{2}"]
+
+
 def test_document_empty_basis_is_zero_space():
     s = read_subspace({"n": 4, "field": "rational", "basis": []})
     assert s.dim == 0 and s.n == 4
@@ -277,7 +307,7 @@ def test_parser_outcomes_are_pinned():
 
 def _token_parse(text, n, field):
     p = text_module._Parser(text, n, field)
-    return p.finish(p.sum(p.term_strict))
+    return _element(p.n, p.field, p.finish(p.sum(p.term_strict)))
 
 
 def _monomial_texts(rng, n):
