@@ -12,10 +12,12 @@ s_i substitutes 0 for generator i.  Composing the n splits monomializes
 any subspace; the resulting monomial supports depend on the order in
 which the generators are processed.
 
-A split is one echelon of D's basis on lifted keys: every mask holding the
-generator is moved above 2^n, so the rows pivoted there span the kernel and
-the other rows, cut below 2^n, span the image.  min_degree_space lifts by
-degree; both cut rows to their pivot's block (_from_blocks), no second echelon.
+Splits, their chain and min_degree_space are initial forms under a block
+key (_initial): one echelon on keys (block(m) << n) | m, each row cut to its
+pivot's block.  A split's block is "m holds i" (the rows in block 1 span the
+kernel), min_degree_space's the degree.  Initial forms for a weight w, then
+w', are those for w refined by w' (Sturmfels, Groebner Bases and Convex
+Polytopes, 1996, ch. 1), so the chain's block is the order's rank of m.
 The kernels of the pairing and of the intersection of two spaces come from
 one routine, _kernel: the map's (image, source) pairs are stacked with the
 source keys shifted above every image key, one echelon of the stack is
@@ -416,26 +418,23 @@ def product_span(a: Subspace, b: Subspace) -> Subspace:
     return _from_rows(n, field, rows)
 
 
-def _from_blocks(n, field, rows) -> Subspace:
-    """The Subspace on echelon rows keyed (block(m) << n) | m, each cut to its
-    pivot's block.  The block is a function of m, so lowering keys to masks is
-    one-to-one and keeps the order in a block: the cut rows are monic on
-    distinct pivots that no other cut row holds, reduced echelon as they come."""
-    low = (1 << n) - 1
-    return _from_rows(n, field, {p & low: {k & low: c for k, c in row.items() if k >> n == p >> n} for p, row in rows.items()})
+def _initial(d: Subspace, block) -> Subspace:
+    """Initial forms of D under block, a function of the mask: one echelon of
+    D's basis on keys (block(m) << n) | m, each row cut to its pivot's block.
+    Lowering keys to masks is one-to-one and keeps the order in a block, so
+    the cut rows are monic on distinct pivots that no other cut row holds:
+    reduced echelon as they come, no second echelon."""
+    n, low = d.n, (1 << d.n) - 1
+    rows = _echelon({(block(m) << n) | m: c for m, c in b.terms.items()} for b in d.basis)
+    return _from_rows(n, d.field, {p & low: {k & low: c for k, c in row.items() if k >> n == p >> n} for p, row in rows.items()})
 
 
 def split_generator(d: Subspace, i: int) -> Subspace:
-    """ker(s_i|_D) + im(s_i|_D) for the substitution s_i killing generator i.
-
-    One echelon of D's basis in blocks (_from_blocks): block 1 holds the
-    masks with i, block 0 the others.  The rows pivoted in block 1 span the
-    kernel and the others the image, so no second echelon runs.  The
-    dimension is kept; that is asserted."""
-    top = 1 << d.n
-    bit = 1 << (_check_int(i, "generator index", 1, d.n) - 1)
-    rows = _echelon({m | top if m & bit else m: c for m, c in b.terms.items()} for b in d.basis)
-    out = _from_blocks(d.n, d.field, rows)
+    """ker(s_i|_D) + im(s_i|_D) for the substitution s_i killing generator i:
+    the initial forms under the block "m holds i" (_initial), whose rows in
+    block 1 span the kernel.  The dimension is kept; that is asserted."""
+    j = _check_int(i, "generator index", 1, d.n) - 1
+    out = _initial(d, lambda m: m >> j & 1)
     if out.dim != d.dim:
         raise AssertionError("generator split changed dimension (%d -> %d)" % (d.dim, out.dim))
     return out
@@ -452,11 +451,16 @@ def _check_order(n, order):
 
 def monomialize(d: Subspace, order=None) -> Subspace:
     """Apply every generator split once, composition written left to right:
-    the last entry of order acts first, order[0] acts last."""
+    the last entry of order acts first, order[0] acts last.  Computed as one
+    echelon (_initial) on the rank of m: bit j is generator order[j], so
+    order[-1] is the most significant bit, and the identity ranks m as m.
+    The rank is one-to-one, so each cut row is a monomial."""
     order = _check_order(d.n, order)
-    for i in reversed(order):
-        d = split_generator(d, i)
-    return d
+    rank = [0]  # rank[m] for the masks m below 2^i, extended by generator i
+    for i in range(1, d.n + 1):
+        bit = 1 << order.index(i)
+        rank += [r | bit for r in rank]
+    return _initial(d, rank.__getitem__)
 
 
 def initial_span(d: Subspace) -> Subspace:
@@ -467,7 +471,7 @@ def initial_span(d: Subspace) -> Subspace:
 def monomial_family(m: Subspace) -> SetFamily:
     """Supports of the basis of a monomial subspace."""
     if not m.is_monomial():
-        raise AssertionError("split chain left a non-monomial basis: %r" % (m,))
+        raise ValueError("not a monomial subspace")
     return SetFamily(m.n, m.pivot_masks())
 
 
@@ -477,14 +481,9 @@ def monomial_supports(d: Subspace, order=None) -> SetFamily:
 
 
 def min_degree_space(a: Subspace) -> Subspace:
-    """Span of the lowest-degree homogeneous parts of all members.
-
-    One echelon in blocks (_from_blocks), the degree as the block, pivots
-    degree first: the cut rows are the rows' lowest-degree parts, independent
-    as their pivots differ; row by row they span the lot."""
-    n = a.n
-    rows = _echelon({(m.bit_count() << n) | m: c for m, c in b.terms.items()} for b in a.basis)
-    return _from_blocks(n, a.field, rows)
+    """Span of the lowest-degree homogeneous parts of all members: the
+    initial forms under the degree (_initial), pivots degree first."""
+    return _initial(a, int.bit_count)
 
 
 def skew_form(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:

@@ -502,22 +502,25 @@ def test_usage_errors_exit_2():
     assert e.value.code == 2
 
 
-def test_gamma_runs_the_split_chain_once(capsys, tmp_path, monkeypatch):
+def test_gamma_reads_the_split_chain_off_one_echelon(capsys, tmp_path, monkeypatch):
     import extalg.subspace as subspace
+    from extalg.text import read_subspace
 
-    calls = []
-    split = subspace.split_generator
-
-    def counted(d, i):
-        calls.append(i)
-        return split(d, i)
-
-    monkeypatch.setattr(subspace, "split_generator", counted)
     doc = {"n": 4, "field": "rational", "basis": ["v{1,2}+v{3,4}", "v{1}+v{2,3,4}"]}
-    code, out, _ = run(capsys, "gamma", write_doc(tmp_path, "d.json", doc), "--json")
-    assert code == 0
-    assert json.loads(out)["family"] == [[1], [1, 2]]
-    assert sorted(calls) == [1, 2, 3, 4]
+    path = write_doc(tmp_path, "d.json", doc)
+    split = subspace.split_generator
+    for order, family in (([1, 2, 3, 4], [[1], [1, 2]]), ([4, 3, 2, 1], [[3, 4], [2, 3, 4]])):
+        chain = read_subspace(doc)
+        for i in reversed(order):
+            chain = split(chain, i)
+        assert subspace.monomial_family(chain).to_sets() == family
+        calls = []
+        monkeypatch.setattr(subspace, "split_generator", lambda d, i: calls.append(i) or split(d, i))
+        code, out, _ = run(capsys, "gamma", path, "--json", "--perm", ",".join(map(str, order)))
+        monkeypatch.undo()
+        assert code == 0
+        assert json.loads(out)["family"] == family
+        assert calls == []
 
 
 def test_document_n_refuses_a_bool(capsys, tmp_path):

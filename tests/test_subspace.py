@@ -187,15 +187,23 @@ def test_monomialize_order_dependence():
     assert monomialize(d) == initial_span(d)
 
 
+def split_chain(d, order=None):
+    """The n generator splits composed, order[-1] acting first: the route
+    that monomialize computes as one echelon."""
+    for i in reversed(order or range(1, d.n + 1)):
+        d = split_generator(d, i)
+    return d
+
+
 def test_monomialize_equals_initial_span_random():
     rng = random.Random(41)
     for _ in range(80):
         n = rng.randint(2, 6)
         d = rand_space(rng, n)
-        m = monomialize(d)
+        m = split_chain(d)
         assert m.dim == d.dim
         assert m.is_monomial()
-        assert m == initial_span(d)
+        assert m == initial_span(d) == monomialize(d)
 
 
 def test_initial_span_brute_force_oracle_gf3():
@@ -232,7 +240,7 @@ def test_monomial_supports():
 
 def test_monomial_family_needs_a_monomial_basis():
     assert monomial_family(monomial_space(4, [0b0011, 0b0100])).to_sets() == [[1, 2], [3]]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not a monomial subspace"):
         monomial_family(span([elem("v{1}+v{2}", 2)]))
 
 
@@ -863,6 +871,46 @@ def min_degree_by_cut_then_echelon(a):
     n, low = a.n, (1 << a.n) - 1
     rows = _echelon({(m.bit_count() << n) | m: c for m, c in b.terms.items()} for b in a.basis)
     return _space(n, a.field, [{k & low: c for k, c in row.items() if k >> n == p >> n} for p, row in rows.items()])
+
+
+# monomialize reads the whole split chain off one echelon on the order's rank
+# of each mask; split_chain composes the n splits, as the chain is defined.
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)], ids=["QQ", "GF3", "GF5"])
+def test_monomialize_matches_the_composed_split_chain(field):
+    rng = random.Random(151)
+    for n in range(1, 8):
+        for d in differential_spaces(rng, n, field):
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            for o in (order, None):
+                m = monomialize(d, o)
+                assert_same_basis(m, split_chain(d, o))
+                assert_pivots_are_the_basis(m)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_monomialize_matches_the_chain_on_images_of_the_canonical_algebra(n):
+    """A linear change of generators moves the canonical algebra off the
+    monomials; that image and a shear of it have the chain's supports in
+    every order."""
+    from extalg.structure import hom_from_images
+    from extalg.verify import random_shear
+
+    rng = random.Random(157 + n)
+    while True:
+        linear = hom_from_images([GrassmannElement(n, {1 << j: rng.randint(-2, 2) for j in range(n)})
+                                  for _ in range(n)])
+        if linear.is_bijective():
+            break
+    c = canonical_max_commutative(n)
+    d = linear.apply_space(c)
+    assert d.dim == c.dim and not d.is_monomial()
+    for e in (d, random_shear(rng, n).apply_space(d)):
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        for o in (order, order[::-1], None):
+            assert_same_basis(monomialize(e, o), split_chain(e, o))
 
 
 def assert_pivots_are_the_basis(s):
